@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from frame_partition.generators import GeneratorSpec, generate
 from frame_partition.partition import _local_search
 
 from conftest import random_symmetric_weight
+from golden_partitions import GOLDEN_PATH, corpus_digests, weight_results
 
 
 def within_part_sums(a, part):
@@ -271,3 +274,27 @@ class TestUniformPartition:
         cert = uniform_partition(seq)
         assert cert.global_bessel == cert.spectral_bound
         assert cert.schur_bound >= cert.spectral_bound - 1e-9
+
+
+class TestGoldenPartitions:
+    """The fixture was written by tests/golden_partitions.py; output must not drift."""
+
+    golden = json.loads(GOLDEN_PATH.read_text())
+
+    def test_corpus_partitions_unchanged(self, corpus):
+        digests = corpus_digests(seq for _, seq in corpus)
+        mismatched = [
+            (corpus[i // 2][0], ("feichtinger", "uniform")[i % 2])
+            for i, (got, want) in enumerate(zip(digests, self.golden["corpus"]))
+            if got != want
+        ]
+        assert len(digests) == len(self.golden["corpus"])
+        assert mismatched == []
+
+    def test_weight_matrix_searches_unchanged(self):
+        results = weight_results()
+        mismatched = [
+            i for i, (got, want) in enumerate(zip(results, self.golden["weights"])) if got != want
+        ]
+        assert len(results) == len(self.golden["weights"])
+        assert mismatched == []
