@@ -14,8 +14,9 @@ import json
 from pathlib import Path
 from typing import Any
 
-import jsonschema
 import numpy as np
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import ValidationError, best_match
 
 from . import analysis
 from .errors import ArgumentError
@@ -103,6 +104,15 @@ CERTIFICATE_SCHEMA: dict[str, Any] = {
     "additionalProperties": False,
 }
 
+# Built once: jsonschema.validate would check the meta-schema on every call.
+_REPORT_VALIDATOR = Draft202012Validator(CERTIFICATE_SCHEMA)
+
+
+def _validate_report(report: Any) -> None:
+    error = best_match(_REPORT_VALIDATOR.iter_errors(report))
+    if error is not None:
+        raise error
+
 
 def _vector_rows(seq: UnitVectorSequence) -> list[list[float]] | list[list[list[float]]]:
     if seq.field == "real":
@@ -150,6 +160,11 @@ def write_vectors(path: str | Path, seq: UnitVectorSequence, fmt: str | None = N
         raise ArgumentError(f"unknown vector file format {fmt!r} (use json or csv)")
 
 
+def _check_shape(dim: int, count: int) -> None:
+    if dim < 1 or count < 1:
+        raise ArgumentError(f"dim and count must be >= 1, got dim={dim}, count={count}")
+
+
 def _parse_json_vectors(doc: Any) -> UnitVectorSequence:
     if not isinstance(doc, dict):
         raise ArgumentError("vector file must contain a JSON object")
@@ -158,22 +173,29 @@ def _parse_json_vectors(doc: Any) -> UnitVectorSequence:
         field = str(doc["field"])
         count = int(doc["count"])
         rows = doc["vectors"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ArgumentError(f"malformed vector file header: {exc}") from exc
+    _check_shape(dim, count)
     if not isinstance(rows, list) or len(rows) != count:
         raise ArgumentError("vector count does not match header")
-    vectors = np.zeros((count, dim), dtype=np.complex128)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise ArgumentError(f"row {i} has wrong length (expected {dim})")
-        for j, cell in enumerate(row):
-            if field == "complex":
-                if not (isinstance(cell, list) and len(cell) == 2):
-                    raise ArgumentError(f"row {i} col {j}: expected [re, im] pair")
-                vectors[i, j] = complex(float(cell[0]), float(cell[1]))
-            else:
-                vectors[i, j] = float(cell)
     labels = doc.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise ArgumentError("labels must be a list")
+    vectors = np.zeros((count, dim), dtype=np.complex128)
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row):
+            if field == "complex" and not (isinstance(cell, list) and len(cell) == 2):
+                raise ArgumentError(f"row {i} col {j}: expected [re, im] pair")
+            try:
+                if field == "complex":
+                    vectors[i, j] = complex(float(cell[0]), float(cell[1]))
+                else:
+                    vectors[i, j] = float(cell)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ArgumentError(f"row {i} col {j}: unparseable cell {cell!r}") from exc
     return UnitVectorSequence(
         vectors, field=field, labels=tuple(labels) if labels is not None else None
     )
@@ -187,13 +209,15 @@ def _parse_csv_vectors(text: str) -> UnitVectorSequence:
         dim, field, count = int(rows[1][0]), rows[1][1].strip(), int(rows[1][2])
     except (IndexError, ValueError) as exc:
         raise ArgumentError(f"malformed csv header values: {exc}") from exc
+    _check_shape(dim, count)
     data = rows[2:]
     if len(data) != count:
         raise ArgumentError(f"expected {count} vector rows, found {len(data)}")
-    vectors = np.zeros((count, dim), dtype=np.complex128)
     for i, row in enumerate(data):
         if len(row) != dim:
             raise ArgumentError(f"row {i} has {len(row)} cells, expected {dim}")
+    vectors = np.zeros((count, dim), dtype=np.complex128)
+    for i, row in enumerate(data):
         for j, cell in enumerate(row):
             try:
                 if field == "complex":
@@ -226,7 +250,11 @@ def build_report(
     seq: UnitVectorSequence,
     timings: dict[str, float] | None = None,
 ) -> dict[str, Any]:
-    """Machine-readable report for a certified partition; schema-validated."""
+    """Machine-readable report for a certified partition.
+
+    The report is checked against the schema where it leaves the program,
+    in ``write_report``.
+    """
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": TOOL_VERSION,
@@ -256,12 +284,11 @@ def build_report(
         "borderline": cert.borderline,
         "timings": dict(timings or {}),
     }
-    jsonschema.validate(report, CERTIFICATE_SCHEMA)
     return report
 
 
 def write_report(path: str | Path, report: dict[str, Any]) -> None:
-    jsonschema.validate(report, CERTIFICATE_SCHEMA)
+    _validate_report(report)
     Path(path).write_text(json.dumps(report, indent=2) + "\n")
 
 
@@ -271,8 +298,8 @@ def read_report(path: str | Path) -> dict[str, Any]:
     except json.JSONDecodeError as exc:
         raise ArgumentError(f"invalid JSON in report {path}: {exc}") from exc
     try:
-        jsonschema.validate(report, CERTIFICATE_SCHEMA)
-    except jsonschema.ValidationError as exc:
+        _validate_report(report)
+    except ValidationError as exc:
         raise ArgumentError(f"report does not match the certificate schema: {exc.message}") from exc
     return report
 

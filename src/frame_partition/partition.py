@@ -112,28 +112,45 @@ def _local_search(sub: np.ndarray) -> tuple[np.ndarray, int]:
     """Run the halving local search on a restricted weight matrix.
 
     Returns the boolean membership mask of the first part and the number of
-    moves performed.  Sums are correctly rounded (math.fsum), so an exact
-    tie (within-part sum exactly half the row sum) never registers as a
-    violation; every accepted move is then a genuine one, the within-part
-    weight strictly decreases, and the search terminates.  Naive float sums
-    can round an exact tie upward and oscillate forever on symmetric inputs.
+    moves performed.  Each move takes the lowest index whose within-part sum
+    exceeds half its row sum.  That test is decided with correctly rounded
+    sums (math.fsum), so an exact tie (within-part sum exactly half the row
+    sum) never registers as a violation; every accepted move is then a
+    genuine one, the within-part weight strictly decreases, and the search
+    terminates.  Naive float sums can round an exact tie upward and
+    oscillate forever on symmetric inputs.
+
+    Running float sums, updated in O(k) per move and recomputed every k
+    moves to bound drift, only pick the candidates: their error stays far
+    below the 1e-9 relative margin, so every exact violator is a candidate
+    and the move sequence is the one a full fsum scan from index 0 makes.
+    The update relies on ``sub`` being a weight block: symmetric with a
+    zero diagonal.
     """
     k = sub.shape[0]
-    row = np.array([math.fsum(sub[:, j]) for j in range(k)])
+    row = np.array([math.fsum(col) for col in sub.T.tolist()])
+    half = 0.5 * row
+    threshold = half - 1e-9 * row
     in_first = np.ones(k, dtype=bool)
     moves = 0
+    until_refresh = 0
     while True:
-        moved = False
-        for j in range(k):
+        if until_refresh == 0:
+            f = in_first.astype(np.float64)
+            within = np.where(in_first, f @ sub, (1.0 - f) @ sub)
+            until_refresh = k
+        for j in (within > threshold).nonzero()[0]:
             same_part = in_first == in_first[j]
-            within = math.fsum(sub[same_part, j])
-            if within > 0.5 * row[j]:
-                in_first[j] = not in_first[j]
-                moves += 1
-                moved = True
+            if math.fsum(sub[same_part, j].tolist()) > half[j]:
                 break
-        if not moved:
+        else:
             return in_first, moves
+        in_first[j] = not in_first[j]
+        moved_from = within[j]
+        within += np.where(in_first == in_first[j], sub[j], -sub[j])
+        within[j] = row[j] - moved_from
+        moves += 1
+        until_refresh -= 1
 
 
 def _ordered_parts(
@@ -146,6 +163,14 @@ def _ordered_parts(
     return first, second
 
 
+def _bipartition(
+    w: np.ndarray, idx: np.ndarray
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Split the sorted block ``idx`` of validated weights ``w``."""
+    in_first, _ = _local_search(w[np.ix_(idx, idx)])
+    return _ordered_parts(idx, in_first)
+
+
 def mills_bipartition(
     a: WeightMatrix | np.ndarray, indices: Iterable[int] | None = None
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -156,10 +181,7 @@ def mills_bipartition(
     sum_{i in P} a_ij <= (1/2) * sum_{i in indices} a_ij.
     """
     w = _weight_entries(a)
-    idx = normalize_block(w.shape[0], indices)
-    sub = w[np.ix_(idx, idx)]
-    in_first, _ = _local_search(sub)
-    return _ordered_parts(idx, in_first)
+    return _bipartition(w, normalize_block(w.shape[0], indices))
 
 
 def halving_partition(a: WeightMatrix | np.ndarray, m: int) -> Partition:
@@ -172,7 +194,7 @@ def halving_partition(a: WeightMatrix | np.ndarray, m: int) -> Partition:
     for _ in range(m):
         next_blocks: list[tuple[int, ...]] = []
         for block in blocks:
-            first, second = mills_bipartition(w, block)
+            first, second = _bipartition(w, np.array(block, dtype=int))
             if first:
                 next_blocks.append(first)
             if second:

@@ -112,6 +112,36 @@ class TestPartition:
         assert run("partition", str(vec), "--bessel-override", "1.5", "-o", str(rep)) == 2
 
 
+def _vector_doc(field, dim, vectors, **extra):
+    return json.dumps(
+        {"dim": dim, "field": field, "count": len(vectors), "vectors": vectors, **extra}
+    )
+
+
+MALFORMED_VECTOR_FILES = [
+    ("list_cell.json", _vector_doc("real", 2, [[[1, 0], 0]])),
+    ("null_cell.json", _vector_doc("real", 2, [[None, 1.0]])),
+    ("text_in_pair.json", _vector_doc("complex", 2, [[["x", 0], [0, 0]]])),
+    ("huge_int_cell.json", _vector_doc("real", 1, [[10**400]])),
+    ("labels_not_list.json", _vector_doc("real", 1, [[1.0]], labels=5)),
+    ("negative_dim.json", json.dumps({"dim": -1, "field": "real", "count": 1, "vectors": [[1.0]]})),
+    ("negative_dim.csv", "dim,field,count\n-1,real,1\n1.0\n"),
+]
+
+
+class TestMalformedVectorFiles:
+    @pytest.mark.parametrize(
+        "name, text", MALFORMED_VECTOR_FILES, ids=[name for name, _ in MALFORMED_VECTOR_FILES]
+    )
+    def test_partition_exits_2_with_one_line(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        assert run("partition", str(path), "-o", str(tmp_path / "r.json")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err and err.count("\n") == 1
+
+
 class TestCertify:
     def make_pair(self, tmp_path, kind="random_unit", mode="feichtinger"):
         vec, rep = tmp_path / "v.json", tmp_path / "r.json"

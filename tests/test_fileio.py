@@ -1,4 +1,5 @@
 import json
+import re
 
 import jsonschema
 import numpy as np
@@ -115,6 +116,26 @@ class TestReports:
         path = tmp_path / "r.json"
         path.write_text(json.dumps({"schema_version": 1}))
         with pytest.raises(ArgumentError):
+            read_report(path)
+
+    def test_schema_is_valid_draft_2020_12(self):
+        jsonschema.Draft202012Validator.check_schema(CERTIFICATE_SCHEMA)
+
+    def test_write_rejects_invalid_report(self, tmp_path, complex_seq):
+        report = build_report(feichtinger_partition(complex_seq), complex_seq)
+        report["levels"] = -1
+        path = tmp_path / "r.json"
+        with pytest.raises(jsonschema.ValidationError):
+            write_report(path, report)
+        assert not path.exists()
+
+    def test_read_error_is_the_best_match(self, tmp_path):
+        bad = {"schema_version": 2, "mode": "other"}
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(bad))
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(bad, CERTIFICATE_SCHEMA)
+        with pytest.raises(ArgumentError, match=re.escape(expected.value.message)):
             read_report(path)
 
     def test_recertify_fresh_report_passes(self, complex_seq):

@@ -1,7 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from frame_partition import (
     ArgumentError,
@@ -26,6 +30,38 @@ from frame_partition.partition import _local_search
 
 from conftest import random_symmetric_weight
 from golden_partitions import GOLDEN_PATH, corpus_digests, weight_results
+
+
+def reference_local_search(sub):
+    """The quadratic search: rescan from index 0 with one fsum per index per move."""
+    k = sub.shape[0]
+    row = np.array([math.fsum(sub[:, j]) for j in range(k)])
+    in_first = np.ones(k, dtype=bool)
+    moves = 0
+    while True:
+        moved = False
+        for j in range(k):
+            same_part = in_first == in_first[j]
+            within = math.fsum(sub[same_part, j])
+            if within > 0.5 * row[j]:
+                in_first[j] = not in_first[j]
+                moves += 1
+                moved = True
+                break
+        if not moved:
+            return in_first, moves
+
+
+TIE_VALUES = [0.0, 0.1, 0.2, 0.3, 1.0, 2.0]
+
+
+@st.composite
+def tie_heavy_weights(draw):
+    """Symmetric zero-diagonal weights from a small value set, k <= 40."""
+    k = draw(st.integers(1, 40))
+    values = draw(arrays(np.float64, (k, k), elements=st.sampled_from(TIE_VALUES)))
+    upper = np.triu(values, 1)
+    return upper + upper.T
 
 
 def within_part_sums(a, part):
@@ -86,6 +122,14 @@ class TestMillsBipartition:
             a = random_symmetric_weight(rng, n)
             _, moves = _local_search(a)
             assert moves <= n * n
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(tie_heavy_weights())
+    def test_matches_reference_search(self, a):
+        in_first, moves = _local_search(a)
+        want_first, want_moves = reference_local_search(a)
+        assert np.array_equal(in_first, want_first)
+        assert moves == want_moves
 
 
 class TestHalvingPartition:
