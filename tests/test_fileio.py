@@ -23,6 +23,8 @@ from frame_partition import (
     write_vectors,
 )
 
+from golden_digests import GOLDEN_PATH, case_digests, corpus_digests
+
 
 @pytest.fixture
 def complex_seq():
@@ -97,6 +99,21 @@ class TestDigest:
         path = tmp_path / "v.json"
         write_vectors(path, complex_seq)
         assert sequence_digest(read_vectors(path)) == sequence_digest(complex_seq)
+
+
+class TestGoldenDigests:
+    """The fixture was written by tests/golden_digests.py; digests must not drift."""
+
+    golden = json.loads(GOLDEN_PATH.read_text())
+
+    def test_corpus_digests_unchanged(self, corpus):
+        digests = corpus_digests(seq for _, seq in corpus)
+        assert len(digests) == len(self.golden["corpus"])
+        assert [spec for (spec, _), got, want in zip(corpus, digests, self.golden["corpus"])
+                if got != want] == []
+
+    def test_hand_made_digests_unchanged(self):
+        assert case_digests() == self.golden["cases"]
 
 
 class TestReports:
