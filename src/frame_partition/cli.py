@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 from pathlib import Path
 
 from . import analysis, fileio, generators, partition
-from .errors import FramePartitionError, NormViolation
+from .errors import ArgumentError, FramePartitionError, NormViolation
 from .linalg import gram
 
 EXIT_OK = 0
@@ -96,6 +97,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ArgumentError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     seq = fileio.read_vectors(args.input)
     report = fileio.read_report(args.report)
     digest = fileio.sequence_digest(seq)
@@ -106,13 +109,16 @@ def cmd_certify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    results = fileio.recertify(seq, report, tol=args.tol)
+    results, claims = fileio.recertify(seq, report, tol=args.tol)
     for entry in results:
         verdict = "PASS" if entry["passed"] else "FAIL"
         print(f"block {entry['block']} {entry['indices']}: {verdict}")
         for failure in entry["failures"]:
             print(f"  {failure}")
-    return EXIT_OK if all(entry["passed"] for entry in results) else EXIT_UNCERTIFIED
+    for failure in claims:
+        print(f"claim FAIL: {failure}")
+    passed = not claims and all(entry["passed"] for entry in results)
+    return EXIT_OK if passed else EXIT_UNCERTIFIED
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -21,7 +22,7 @@ from jsonschema.exceptions import ValidationError, best_match
 from . import analysis
 from .errors import ArgumentError
 from .linalg import UnitVectorSequence, gram, hermitian_eigenvalues
-from .partition import PartitionCertificate
+from .partition import LEVEL_SAFETY, PartitionCertificate, required_levels
 
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
@@ -121,16 +122,26 @@ def _vector_rows(seq: UnitVectorSequence) -> list[list[float]] | list[list[list[
 
 
 def sequence_digest(seq: UnitVectorSequence) -> str:
-    """Content hash of the sequence (dim, field and exact coordinates)."""
-    payload = {
-        "dim": seq.dim,
-        "field": seq.field,
-        "vectors": [
-            [[repr(float(x.real)), repr(float(x.imag))] for x in row] for row in seq.vectors
-        ],
-    }
-    raw = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(raw).hexdigest()
+    """Content hash of the sequence: the sha256 hex digest of its canonical payload.
+
+    The payload is the UTF-8 text ``{"dim":D,"field":"F","vectors":[...]}``
+    with no whitespace and the keys in that order.  ``vectors`` holds one
+    list per vector of ``["re","im"]`` pairs, each part the Python ``repr``
+    of the coordinate's float64 real or imaginary part (so ``-0.0``, ``0.0``
+    and ``1e-05`` appear as written here), imaginary parts included in real
+    mode.  It is the compact ``json.dumps`` of that structure with
+    ``sort_keys=True``.
+
+    ``repr`` is the whole cost, so each distinct bit pattern is formatted
+    once (bit patterns keep ``-0.0`` apart from ``0.0``) and the strings
+    fill one row template per vector.
+    """
+    bits, where = np.unique(seq.vectors.view(np.uint64), return_inverse=True)
+    text = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    row = "[" + ",".join(['["%s","%s"]'] * seq.dim) + "]"
+    vectors = ",".join([row] * len(seq.vectors)) % tuple(text[where.ravel()].tolist())
+    payload = '{"dim":%d,"field":%s,"vectors":[%s]}' % (seq.dim, json.dumps(seq.field), vectors)
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def write_vectors(path: str | Path, seq: UnitVectorSequence, fmt: str | None = None) -> None:
@@ -165,6 +176,41 @@ def _check_shape(dim: int, count: int) -> None:
         raise ArgumentError(f"dim and count must be >= 1, got dim={dim}, count={count}")
 
 
+def _numeric_rows(rows: list, shape: tuple[int, ...]) -> np.ndarray | None:
+    """The rows as one array when every cell is a number, or [re, im] pair of numbers.
+
+    ``shape`` is ``(count, dim)`` for real rows and ``(count, dim, 2)`` for
+    complex ones, whose float pairs are reinterpreted as complex128.  Returns
+    None for anything else (strings, null, nesting, integers too large for
+    int64) so that the caller's per-cell parse names the bad cell.
+    """
+    try:
+        a = np.array(rows)
+    except (ValueError, OverflowError):
+        return None
+    if a.dtype.kind not in "fi" or a.shape != shape:
+        return None
+    a = a.astype(np.float64)
+    return a.view(np.complex128)[..., 0] if len(shape) == 3 else a
+
+
+def _parse_cells(rows: list, count: int, dim: int, field: str) -> np.ndarray:
+    """Cell-by-cell parse of shape-checked rows; names the first unparseable cell."""
+    vectors = np.zeros((count, dim), dtype=np.complex128)
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row):
+            if field == "complex" and not (isinstance(cell, list) and len(cell) == 2):
+                raise ArgumentError(f"row {i} col {j}: expected [re, im] pair")
+            try:
+                if field == "complex":
+                    vectors[i, j] = complex(float(cell[0]), float(cell[1]))
+                else:
+                    vectors[i, j] = float(cell)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ArgumentError(f"row {i} col {j}: unparseable cell {cell!r}") from exc
+    return vectors
+
+
 def _parse_json_vectors(doc: Any) -> UnitVectorSequence:
     if not isinstance(doc, dict):
         raise ArgumentError("vector file must contain a JSON object")
@@ -184,18 +230,9 @@ def _parse_json_vectors(doc: Any) -> UnitVectorSequence:
     labels = doc.get("labels")
     if labels is not None and not isinstance(labels, list):
         raise ArgumentError("labels must be a list")
-    vectors = np.zeros((count, dim), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        for j, cell in enumerate(row):
-            if field == "complex" and not (isinstance(cell, list) and len(cell) == 2):
-                raise ArgumentError(f"row {i} col {j}: expected [re, im] pair")
-            try:
-                if field == "complex":
-                    vectors[i, j] = complex(float(cell[0]), float(cell[1]))
-                else:
-                    vectors[i, j] = float(cell)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ArgumentError(f"row {i} col {j}: unparseable cell {cell!r}") from exc
+    vectors = _numeric_rows(rows, (count, dim, 2) if field == "complex" else (count, dim))
+    if vectors is None:
+        vectors = _parse_cells(rows, count, dim, field)
     return UnitVectorSequence(
         vectors, field=field, labels=tuple(labels) if labels is not None else None
     )
@@ -306,12 +343,13 @@ def read_report(path: str | Path) -> dict[str, Any]:
 
 def recertify(
     seq: UnitVectorSequence, report: dict[str, Any], tol: float = REPORT_TOL
-) -> list[dict[str, Any]]:
-    """Independently recompute every block's values and diff them vs the report.
+) -> tuple[list[dict[str, Any]], list[str]]:
+    """Independently recompute the report's claims and diff them vs the report.
 
-    Returns one entry per block: {"block", "indices", "passed", "failures"}.
-    Raises ArgumentError when the report's blocks are not a partition of the
-    input's index set.
+    Returns ``(blocks, claims)``: one entry per block,
+    {"block", "indices", "passed", "failures"}, and one line per failed
+    global claim (see ``_claim_failures``).  Raises ArgumentError when the
+    report's blocks are not a partition of the input's index set.
     """
     blocks = [tuple(b["indices"]) for b in report["blocks"]]
     seen: set[int] = set()
@@ -325,6 +363,7 @@ def recertify(
         )
     g = gram(seq)
     results = []
+    verdicts = []
     for pos, (block, reported) in enumerate(zip(blocks, report["blocks"])):
         expected = {
             "sigma": analysis.sigma(g, block),
@@ -334,14 +373,16 @@ def recertify(
         eigs = hermitian_eigenvalues(g.submatrix(list(block)))
         expected["lambda_min"] = float(eigs[0])
         expected["lambda_max"] = float(eigs[-1])
+        # written so that a NaN in the report fails
         failures = [
             f"{key}: reported {reported[key]!r}, recomputed {value!r}"
             for key, value in expected.items()
-            if abs(reported[key] - value) > tol
+            if not abs(reported[key] - value) <= tol
         ]
         certified = (
             expected["sigma"] < 1.0 if report["mode"] == "feichtinger" else expected["eta"] < 1.0
         )
+        verdicts.append(certified)
         if bool(reported["certified"]) != certified:
             failures.append(
                 f"certified: reported {reported['certified']}, recomputed {certified}"
@@ -349,4 +390,44 @@ def recertify(
         results.append(
             {"block": pos, "indices": list(block), "passed": not failures, "failures": failures}
         )
-    return results
+    return results, _claim_failures(report, analysis.schur_bessel_bound(g), all(verdicts), tol)
+
+
+def _claim_failures(
+    report: dict[str, Any], schur_b: float, all_certified: bool, tol: float
+) -> list[str]:
+    """The report's global claims that do not hold, one line each.
+
+    ``schur_B`` is compared with the recomputed ``schur_b``; ``bessel_B_used``
+    must be at least the mode's bound, and ``levels`` and ``target`` must be
+    what the halving derives from it; the report may hold at most 2^levels
+    blocks, and ``all_certified`` must match the recomputed block verdicts.
+    ``spectral_B`` is taken as reported: recomputing it needs the spectrum of
+    the full Gram matrix.
+    """
+    bounds = report["global_bounds"]
+    failures = []
+    if not abs(bounds["schur_B"] - schur_b) <= tol:
+        failures.append(f"schur_B: reported {bounds['schur_B']!r}, recomputed {schur_b!r}")
+    b = bounds["bessel_B_used"]
+    mode_b = schur_b if report["mode"] == "feichtinger" else bounds["spectral_B"]
+    levels = int(report["levels"])
+    if not (math.isfinite(b) and b >= mode_b - tol and b + LEVEL_SAFETY >= 1.0):
+        failures.append(
+            f"bessel_B_used: reported {b!r}, not >= 1 and the {report['mode']} bound {mode_b!r}"
+        )
+    else:
+        required = required_levels(b + LEVEL_SAFETY)
+        if levels != required:
+            failures.append(f"levels: reported {levels}, required {required} for B={b!r}")
+        target = math.ldexp(b - 1.0, -levels)
+        if not abs(report["target"] - target) <= tol:
+            failures.append(f"target: reported {report['target']!r}, recomputed {target!r}")
+    # len(blocks) <= 2**levels, without building 2**levels
+    if (len(report["blocks"]) - 1).bit_length() > levels:
+        failures.append(f"blocks: {len(report['blocks'])} blocks exceed 2^{levels}")
+    if report["all_certified"] != all_certified:
+        failures.append(
+            f"all_certified: reported {report['all_certified']}, recomputed {all_certified}"
+        )
+    return failures

@@ -126,6 +126,10 @@ MALFORMED_VECTOR_FILES = [
     ("labels_not_list.json", _vector_doc("real", 1, [[1.0]], labels=5)),
     ("negative_dim.json", json.dumps({"dim": -1, "field": "real", "count": 1, "vectors": [[1.0]]})),
     ("negative_dim.csv", "dim,field,count\n-1,real,1\n1.0\n"),
+    # a count x dim allocation would need 16 TB: rows are checked first
+    ("huge_dim.json", json.dumps({"dim": 10**12, "field": "real", "count": 1,
+                                  "vectors": [[1.0]]})),
+    ("huge_dim.csv", f"dim,field,count\n{10**12},real,1\n1.0\n"),
 ]
 
 
@@ -180,6 +184,57 @@ class TestCertify:
         report["blocks"][0]["indices"] = [report["blocks"][0]["indices"][0]] * 1 + [999]
         rep.write_text(json.dumps(report))
         assert run("certify", str(vec), str(rep), "--force") == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9"])
+    def test_bad_tolerance_exit_2(self, tmp_path, capsys, tol):
+        vec, rep = self.make_pair(tmp_path)
+        report = json.loads(rep.read_text())
+        report["blocks"][0]["lambda_min"] = -5.0
+        rep.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run("certify", str(vec), str(rep), f"--tol={tol}") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_nan_block_value_fails(self, tmp_path, capsys):
+        vec, rep = self.make_pair(tmp_path)
+        report = json.loads(rep.read_text())
+        report["blocks"][0]["sigma"] = float("nan")
+        rep.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run("certify", str(vec), str(rep)) == 5
+        assert "sigma: reported nan" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode, edit, claims", [
+        pytest.param("feichtinger", {"target": -3.0}, ["target"], id="target"),
+        pytest.param("feichtinger", {"levels": "+3"}, ["levels", "target"], id="levels"),
+        pytest.param("feichtinger", {"schur_B": 0.01}, ["schur_B"], id="schur_B"),
+        pytest.param("feichtinger", {"bessel_B_used": "/2"}, ["bessel_B_used"], id="B_below"),
+        pytest.param("feichtinger", {"all_certified": "flip"}, ["all_certified"], id="all"),
+        pytest.param("uniform", {"target": float("nan")}, ["target"], id="nan_target"),
+        pytest.param("uniform", {"levels": 0}, ["levels", "target", "blocks"], id="too_many_blocks"),
+        pytest.param("uniform", {"spectral_B": 0.5, "bessel_B_used": 0.5}, ["bessel_B_used"],
+                     id="B_below_one"),
+    ])
+    def test_false_global_claim_fails(self, tmp_path, capsys, mode, edit, claims):
+        vec, rep = self.make_pair(tmp_path, mode=mode)
+        report = json.loads(rep.read_text())
+        bounds = report["global_bounds"]
+        for key, value in edit.items():
+            doc = bounds if key in bounds else report
+            if value == "+3":
+                doc[key] += 3
+            elif value == "/2":
+                doc[key] /= 2
+            elif value == "flip":
+                doc[key] = not doc[key]
+            else:
+                doc[key] = value
+        rep.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run("certify", str(vec), str(rep)) == 5
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("claim")]
+        assert [line.split()[2].rstrip(":") for line in lines] == claims
 
     def test_loose_tolerance_lets_small_edits_pass(self, tmp_path):
         vec, rep = self.make_pair(tmp_path)

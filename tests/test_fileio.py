@@ -1,9 +1,15 @@
+import hashlib
 import json
 import re
+from types import SimpleNamespace
+from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from frame_partition import (
     ArgumentError,
@@ -22,6 +28,7 @@ from frame_partition import (
     write_report,
     write_vectors,
 )
+from frame_partition.fileio import _parse_json_vectors
 
 from golden_digests import GOLDEN_PATH, case_digests, corpus_digests
 
@@ -101,6 +108,128 @@ class TestDigest:
         assert sequence_digest(read_vectors(path)) == sequence_digest(complex_seq)
 
 
+def reference_digest(seq):
+    """The digest as first defined: repr every coordinate into a JSON payload."""
+    payload = {
+        "dim": seq.dim,
+        "field": seq.field,
+        "vectors": [
+            [[repr(float(x.real)), repr(float(x.imag))] for x in row] for row in seq.vectors
+        ],
+    }
+    raw = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(raw).hexdigest()
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-5, 1e-4, 0.1,
+               1.0, -1.0, 1e15, 1e16, 1e22, 1.7976931348623157e308]
+
+
+def float_parts(field):
+    finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+    return finite if field == "complex" else st.just(0.0) | st.just(-0.0)
+
+
+@st.composite
+def raw_vectors(draw):
+    """Any finite coordinates, repeated values likely; real mode keeps imag parts at +-0."""
+    field = draw(st.sampled_from(["real", "complex"]))
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    pool = st.sampled_from(draw(st.lists(float_parts("complex"), min_size=1, max_size=8)))
+    re = draw(arrays(np.float64, shape, elements=pool | float_parts("complex")))
+    im_parts = pool | float_parts(field) if field == "complex" else float_parts(field)
+    im = draw(arrays(np.float64, shape, elements=im_parts))
+    vectors = np.empty(shape, dtype=np.complex128)
+    vectors.real, vectors.imag = re, im
+    return SimpleNamespace(dim=shape[1], field=field, vectors=vectors)
+
+
+class TestDigestDifferential:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(raw_vectors())
+    def test_matches_reference_payload(self, raw):
+        assert sequence_digest(raw) == reference_digest(raw)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(raw_vectors(), st.booleans())
+    def test_unit_sequences_match_reference(self, raw, transpose):
+        v = raw.vectors.T if transpose else raw.vectors
+        norms = np.linalg.norm(v, axis=1)
+        assume(np.all(np.isfinite(norms)) and np.all(norms > 1e-150))
+        seq = UnitVectorSequence.from_vectors(v, field=raw.field, renormalize=True)
+        assert seq.vectors.flags.c_contiguous
+        assert sequence_digest(seq) == reference_digest(seq)
+
+
+def reference_cells(rows, count, dim, field):
+    """The cell-by-cell parse: complex128 array, or the ArgumentError message."""
+    vectors = np.zeros((count, dim), dtype=np.complex128)
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row):
+            if field == "complex" and not (isinstance(cell, list) and len(cell) == 2):
+                return f"row {i} col {j}: expected [re, im] pair"
+            try:
+                if field == "complex":
+                    vectors[i, j] = complex(float(cell[0]), float(cell[1]))
+                else:
+                    vectors[i, j] = float(cell)
+            except (TypeError, ValueError, OverflowError):
+                return f"row {i} col {j}: unparseable cell {cell!r}"
+    return vectors
+
+
+SCALAR_CELLS = (
+    st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.booleans()
+    | st.sampled_from(["1.5", "-0.0", "2", "1e-5", "x", "", None, 10**400, -(10**400), 2**63, 2**64])
+)
+CELLS = SCALAR_CELLS | st.lists(SCALAR_CELLS, max_size=3)
+NUMBER_CELLS = (
+    st.integers(-3, 3)
+    | st.integers(-(2**63), 2**63 - 1)
+    | st.floats(-2, 2)
+    | st.sampled_from(EDGE_FLOATS)
+)
+
+
+@st.composite
+def vector_docs(draw):
+    """Header-valid vector documents whose cells mix every JSON value kind."""
+    field = draw(st.sampled_from(["real", "complex"]))
+    count, dim = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if field == "complex":
+        pair = st.lists(SCALAR_CELLS, min_size=2, max_size=2)
+        cell = pair | st.lists(NUMBER_CELLS, min_size=2, max_size=2)
+    else:
+        cell = NUMBER_CELLS
+    cell = draw(st.sampled_from([cell, cell | CELLS]))
+    rows = draw(st.lists(st.lists(cell, min_size=dim, max_size=dim), min_size=count, max_size=count))
+    return {"dim": dim, "field": field, "count": count, "vectors": rows}
+
+
+class TestParseDifferential:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(vector_docs())
+    def test_matches_cell_by_cell_parse(self, doc):
+        # stop at the parsed array: random cells are not unit vectors
+        captured = []
+        expected = reference_cells(doc["vectors"], doc["count"], doc["dim"], doc["field"])
+        try:
+            with mock.patch(
+                "frame_partition.fileio.UnitVectorSequence",
+                lambda vectors, field, labels: captured.append(vectors),
+            ):
+                _parse_json_vectors(doc)
+        except ArgumentError as exc:
+            assert str(exc) == expected
+        else:
+            assert not isinstance(expected, str)
+            got = np.array(captured[0], dtype=np.complex128)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+
 class TestGoldenDigests:
     """The fixture was written by tests/golden_digests.py; digests must not drift."""
 
@@ -158,14 +287,15 @@ class TestReports:
     def test_recertify_fresh_report_passes(self, complex_seq):
         for cert in (feichtinger_partition(complex_seq), uniform_partition(complex_seq)):
             report = build_report(cert, complex_seq)
-            results = recertify(complex_seq, report)
+            results, claims = recertify(complex_seq, report)
             assert all(entry["passed"] for entry in results)
+            assert claims == []
 
     def test_recertify_catches_tampered_eigenvalue(self, complex_seq):
         cert = feichtinger_partition(complex_seq)
         report = build_report(cert, complex_seq)
         report["blocks"][0]["lambda_min"] += 1e-3
-        results = recertify(complex_seq, report)
+        results, _ = recertify(complex_seq, report)
         assert not results[0]["passed"]
         assert any("lambda_min" in f for f in results[0]["failures"])
 
@@ -176,7 +306,7 @@ class TestReports:
         # merge the two singletons: sigma on the joined block is 1, not the
         # reported 0, so the block must FAIL
         report["blocks"] = [dict(report["blocks"][0], indices=[0, 1])]
-        results = recertify(seq, report)
+        results, _ = recertify(seq, report)
         assert not results[0]["passed"]
         assert any("sigma" in f for f in results[0]["failures"])
 
