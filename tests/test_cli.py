@@ -160,6 +160,15 @@ class TestCertify:
         assert run("certify", str(vec), str(rep)) == 0
         assert "FAIL" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("mode", ["feichtinger", "uniform"])
+    def test_bessel_override_report_passes(self, tmp_path, capsys, mode):
+        vec, rep = self.make_pair(tmp_path, mode=mode)
+        assert run("partition", str(vec), "--mode", mode, "--bessel-override", "9.5",
+                   "-o", str(rep)) == 0
+        capsys.readouterr()
+        assert run("certify", str(vec), str(rep)) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
     def test_tampered_lambda_fails(self, tmp_path, capsys):
         vec, rep = self.make_pair(tmp_path)
         report = json.loads(rep.read_text())
