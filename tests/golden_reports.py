@@ -1,0 +1,75 @@
+"""Golden certificate reports: ``build_report``'s output, pinned in a fixture.
+
+``tests/data/golden_reports.json`` holds the sha256 of
+``json.dumps(report minus timings, sort_keys=True)``
+
+* ``corpus``: for every acceptance-grid instance (``conftest.corpus_specs``),
+  Feichtinger mode then uniform mode;
+* ``override``: for one complex ``random_unit`` instance, a report built with
+  ``bessel_override=OVERRIDE_B`` in Feichtinger mode then uniform mode.
+
+The digest covers every float in the report bit for bit (``json.dumps``
+writes floats by ``repr``), so block statistics, global bounds, verdicts and
+flags must all stay exactly as they were.  ``test_fileio.py`` requires the
+current code to reproduce the file exactly.  Rewrite it (only when a change
+of report content is intended) with
+
+    PYTHONPATH=src python tests/golden_reports.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+from frame_partition import (
+    GeneratorSpec,
+    build_report,
+    feichtinger_partition,
+    generate,
+    uniform_partition,
+)
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "golden_reports.json"
+OVERRIDE_SPEC = GeneratorSpec("random_unit", dim=8, count=24, seed=5, field="complex")
+OVERRIDE_B = 9.5
+
+
+def report_digest(cert, seq) -> str:
+    report = build_report(cert, seq)
+    report.pop("timings")
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+def corpus_digests(sequences) -> list[str]:
+    return [
+        report_digest(partitioner(seq), seq)
+        for seq in sequences
+        for partitioner in (feichtinger_partition, uniform_partition)
+    ]
+
+
+def override_digests() -> list[str]:
+    seq = generate(OVERRIDE_SPEC)
+    return [
+        report_digest(partitioner(seq, bessel_override=OVERRIDE_B), seq)
+        for partitioner in (feichtinger_partition, uniform_partition)
+    ]
+
+
+if __name__ == "__main__":
+    from conftest import corpus_specs
+
+    golden = {
+        "corpus": corpus_digests(generate(spec) for spec in corpus_specs()),
+        "override": override_digests(),
+    }
+    lines = ",\n".join(
+        f'"{key}":[\n' + ",\n".join(json.dumps(item) for item in items) + "\n]"
+        for key, items in golden.items()
+    )
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    GOLDEN_PATH.write_text("{\n" + lines + "\n}\n")
+    print(f"wrote {len(golden['corpus'])} corpus and "
+          f"{len(golden['override'])} override report digests to {GOLDEN_PATH}")

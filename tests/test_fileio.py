@@ -30,6 +30,7 @@ from frame_partition import (
 )
 from frame_partition.fileio import _parse_json_vectors
 
+import golden_reports
 from golden_digests import GOLDEN_PATH, case_digests, corpus_digests
 
 
@@ -243,6 +244,25 @@ class TestGoldenDigests:
 
     def test_hand_made_digests_unchanged(self):
         assert case_digests() == self.golden["cases"]
+
+
+class TestGoldenReports:
+    """The fixture was written by tests/golden_reports.py; reports must not drift."""
+
+    golden = json.loads(golden_reports.GOLDEN_PATH.read_text())
+
+    def test_corpus_reports_unchanged(self, corpus):
+        digests = golden_reports.corpus_digests(seq for _, seq in corpus)
+        assert len(digests) == len(self.golden["corpus"])
+        changed = [
+            (corpus[i // 2][0], ("feichtinger", "uniform")[i % 2])
+            for i, (got, want) in enumerate(zip(digests, self.golden["corpus"]))
+            if got != want
+        ]
+        assert changed == []
+
+    def test_override_reports_unchanged(self):
+        assert golden_reports.override_digests() == self.golden["override"]
 
 
 class TestReports:
