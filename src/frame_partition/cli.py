@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -27,14 +26,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NORM = 4
 EXIT_UNCERTIFIED = 5
-
-
-def _threads() -> int:
-    raw = os.environ.get("FRAME_PARTITION_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -78,13 +69,9 @@ def cmd_partition(args: argparse.Namespace) -> int:
     seq = fileio.read_vectors(args.input)
     start = time.perf_counter()
     if args.mode == "feichtinger":
-        cert = partition.feichtinger_partition(
-            seq, bessel_override=args.bessel_override, threads=_threads()
-        )
+        cert = partition.feichtinger_partition(seq, bessel_override=args.bessel_override)
     else:
-        cert = partition.uniform_partition(
-            seq, bessel_override=args.bessel_override, threads=_threads()
-        )
+        cert = partition.uniform_partition(seq, bessel_override=args.bessel_override)
     elapsed = time.perf_counter() - start
     report = fileio.build_report(cert, seq, timings={"partition_s": elapsed})
     fileio.write_report(args.output, report)

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 from typing import Any
 
@@ -21,8 +22,8 @@ from jsonschema.exceptions import ValidationError, best_match
 
 from . import analysis
 from .errors import ArgumentError
-from .linalg import UnitVectorSequence, gram, hermitian_eigenvalues
-from .partition import LEVEL_SAFETY, PartitionCertificate, required_levels
+from .linalg import UnitVectorSequence, gram
+from .partition import LEVEL_SAFETY, MODES, PartitionCertificate, _on_breakpoint, required_levels
 
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
@@ -108,8 +109,76 @@ CERTIFICATE_SCHEMA: dict[str, Any] = {
 # Built once: jsonschema.validate would check the meta-schema on every call.
 _REPORT_VALIDATOR = Draft202012Validator(CERTIFICATE_SCHEMA)
 
+_BLOCK_SCHEMA = CERTIFICATE_SCHEMA["properties"]["blocks"]["items"]
+_REPORT_KEYS = frozenset(CERTIFICATE_SCHEMA["required"])
+_BOUND_KEYS = frozenset(CERTIFICATE_SCHEMA["properties"]["global_bounds"]["required"])
+_BLOCK_KEYS = frozenset(_BLOCK_SCHEMA["required"])
+_BLOCK_NUMBERS = [k for k, v in _BLOCK_SCHEMA["properties"].items() if v.get("type") == "number"]
+_DIGEST = re.compile(CERTIFICATE_SCHEMA["properties"]["input_digest"]["pattern"])
+
+
+def _is_number(x: Any) -> bool:
+    return type(x) is float or type(x) is int  # a bool is not a number
+
+
+def _is_index(x: Any) -> bool:
+    """An integer >= 0; an integral float such as 3.0 counts as an integer."""
+    return (type(x) is int or (type(x) is float and x.is_integer())) and not x < 0
+
+
+def _conforms(report: Any) -> bool:
+    """True only for a report that CERTIFICATE_SCHEMA accepts.
+
+    A direct encoding of the schema under draft 2020-12 rules (exact key
+    sets, ``const``/``enum``, the digest pattern by ``re.search``, integral
+    floats as integers, ``minimum`` and ``minItems``), written for the
+    reports this program builds.  False does not mean invalid: anything it
+    does not recognise is left to jsonschema.
+    """
+    if type(report) is not dict or report.keys() != _REPORT_KEYS:
+        return False
+    bounds, blocks, timings = report["global_bounds"], report["blocks"], report["timings"]
+    if not (
+        _is_number(report["schema_version"])
+        and report["schema_version"] == SCHEMA_VERSION
+        and type(report["tool_version"]) is str
+        and type(report["input_digest"]) is str
+        and _DIGEST.search(report["input_digest"])
+        and report["mode"] in MODES
+        and type(bounds) is dict
+        and bounds.keys() == _BOUND_KEYS
+        and all(_is_number(v) for v in bounds.values())
+        and _is_index(report["levels"])
+        and _is_number(report["target"])
+        and type(blocks) is list
+        and blocks
+        and type(report["all_certified"]) is bool
+        and type(report["borderline"]) is bool
+        and type(timings) is dict
+        and all(_is_number(v) for v in timings.values())
+    ):
+        return False
+    return all(
+        type(block) is dict
+        and block.keys() == _BLOCK_KEYS
+        and type(block["indices"]) is list
+        and block["indices"]
+        and all(_is_index(i) for i in block["indices"])
+        and all(_is_number(block[key]) for key in _BLOCK_NUMBERS)
+        and type(block["certified"]) is bool
+        and type(block["borderline"]) is bool
+        for block in blocks
+    )
+
 
 def _validate_report(report: Any) -> None:
+    """Raise jsonschema's best-matching error unless the report fits the schema.
+
+    ``_conforms`` passes the reports this program writes at a fraction of
+    jsonschema's cost; jsonschema decides and words every rejection.
+    """
+    if _conforms(report):
+        return
     error = best_match(_REPORT_VALIDATOR.iter_errors(report))
     if error is not None:
         raise error
@@ -312,8 +381,8 @@ def build_report(
                 "gamma": bc.gamma,
                 "lambda_min": bc.riesz.lambda_min,
                 "lambda_max": bc.riesz.lambda_max,
-                "certified": bc.riesz.certified if cert.mode == "feichtinger" else bc.eta < 1.0,
-                "borderline": bc.riesz.borderline,
+                "certified": bc.certified,
+                "borderline": bc.borderline,
             }
             for bc in cert.per_block
         ],
@@ -348,71 +417,87 @@ def recertify(
 
     Returns ``(blocks, claims)``: one entry per block,
     {"block", "indices", "passed", "failures"}, and one line per failed
-    global claim (see ``_claim_failures``).  Raises ArgumentError when the
-    report's blocks are not a partition of the input's index set.
+    global claim (see ``_claim_failures``).  Raises ArgumentError when a
+    block repeats an index or the blocks are not a partition of the input's
+    index set.
     """
-    blocks = [tuple(b["indices"]) for b in report["blocks"]]
+    blocks = [b["indices"] for b in report["blocks"]]
     seen: set[int] = set()
-    for block in blocks:
+    for pos, block in enumerate(blocks):
         if not block or seen.intersection(block):
             raise ArgumentError("report blocks are empty or overlap")
+        if len(set(block)) != len(block):
+            raise ArgumentError(f"report block {pos} repeats an index")
         seen.update(block)
     if seen != set(range(seq.n)):
         raise ArgumentError(
             f"report blocks do not cover the input index set 0..{seq.n - 1}"
         )
     g = gram(seq)
+    mode = report["mode"]
     results = []
     verdicts = []
+    lambda_max = 0.0
     for pos, (block, reported) in enumerate(zip(blocks, report["blocks"])):
-        expected = {
-            "sigma": analysis.sigma(g, block),
-            "eta": analysis.eta(g, block),
-            "gamma": analysis.separation_constant(g, block),
-        }
-        eigs = hermitian_eigenvalues(g.submatrix(list(block)))
-        expected["lambda_min"] = float(eigs[0])
-        expected["lambda_max"] = float(eigs[-1])
+        stats = analysis.block_stats(g, np.array(sorted(block), dtype=int))
+        lambda_max = max(lambda_max, stats.lambda_max)
         # written so that a NaN in the report fails
         failures = [
             f"{key}: reported {reported[key]!r}, recomputed {value!r}"
-            for key, value in expected.items()
+            for key, value in vars(stats).items()
             if not abs(reported[key] - value) <= tol
         ]
-        certified = (
-            expected["sigma"] < 1.0 if report["mode"] == "feichtinger" else expected["eta"] < 1.0
-        )
-        verdicts.append(certified)
-        if bool(reported["certified"]) != certified:
-            failures.append(
-                f"certified: reported {reported['certified']}, recomputed {certified}"
-            )
+        verdict = analysis.block_verdict(mode, stats.sigma, stats.eta)
+        verdicts.append(verdict)
+        for key, value in zip(("certified", "borderline"), verdict):
+            if reported[key] != value:
+                failures.append(f"{key}: reported {reported[key]}, recomputed {value}")
         results.append(
             {"block": pos, "indices": list(block), "passed": not failures, "failures": failures}
         )
-    return results, _claim_failures(report, analysis.schur_bessel_bound(g), all(verdicts), tol)
+    schur_b = analysis.schur_bessel_bound(g)
+    return results, _claim_failures(report, schur_b, lambda_max, verdicts, tol)
+
+
+# Round-off allowed, relative to schur_B, in lambda_max(block) <= spectral_B
+# <= schur_B: computed spectra keep these exact inequalities to a few ulps.
+SPECTRAL_ROUNDOFF = 1e-12
 
 
 def _claim_failures(
-    report: dict[str, Any], schur_b: float, all_certified: bool, tol: float
+    report: dict[str, Any],
+    schur_b: float,
+    lambda_max: float,
+    verdicts: list[tuple[bool, bool]],
+    tol: float,
 ) -> list[str]:
     """The report's global claims that do not hold, one line each.
 
-    ``schur_B`` is compared with the recomputed ``schur_b``; ``bessel_B_used``
-    must be at least the mode's bound, and ``levels`` and ``target`` must be
-    what the halving derives from it; the report may hold at most 2^levels
-    blocks, and ``all_certified`` must match the recomputed block verdicts.
-    ``spectral_B`` is taken as reported: recomputing it needs the spectrum of
-    the full Gram matrix.
+    ``schur_B`` is compared with the recomputed ``schur_b``.  ``spectral_B``
+    must lie between the largest recomputed block ``lambda_max`` (Cauchy
+    interlacing) and ``schur_b``, within ``tol`` plus SPECTRAL_ROUNDOFF;
+    recomputing it exactly needs the spectrum of the full Gram matrix.
+    ``bessel_B_used`` must be at least the mode's bound, and ``levels`` and
+    ``target`` must be what the halving derives from it; the report may hold
+    at most 2^levels blocks.  ``all_certified`` and ``borderline`` must match
+    the recomputed block ``verdicts`` (and, for ``borderline``, whether B
+    sits on a power-of-two breakpoint).
     """
     bounds = report["global_bounds"]
     failures = []
     if not abs(bounds["schur_B"] - schur_b) <= tol:
         failures.append(f"schur_B: reported {bounds['schur_B']!r}, recomputed {schur_b!r}")
+    slack = tol + SPECTRAL_ROUNDOFF * schur_b
+    if not lambda_max - slack <= bounds["spectral_B"] <= schur_b + slack:
+        failures.append(
+            f"spectral_B: reported {bounds['spectral_B']!r}, outside [{lambda_max!r}, "
+            f"{schur_b!r}] (largest block lambda_max, schur_B)"
+        )
     b = bounds["bessel_B_used"]
     mode_b = schur_b if report["mode"] == "feichtinger" else bounds["spectral_B"]
     levels = int(report["levels"])
-    if not (math.isfinite(b) and b >= mode_b - tol and b + LEVEL_SAFETY >= 1.0):
+    b_holds = math.isfinite(b) and b >= mode_b - tol and b + LEVEL_SAFETY >= 1.0
+    if not b_holds:
         failures.append(
             f"bessel_B_used: reported {b!r}, not >= 1 and the {report['mode']} bound {mode_b!r}"
         )
@@ -426,8 +511,15 @@ def _claim_failures(
     # len(blocks) <= 2**levels, without building 2**levels
     if (len(report["blocks"]) - 1).bit_length() > levels:
         failures.append(f"blocks: {len(report['blocks'])} blocks exceed 2^{levels}")
+    all_certified = all(certified for certified, _ in verdicts)
     if report["all_certified"] != all_certified:
         failures.append(
             f"all_certified: reported {report['all_certified']}, recomputed {all_certified}"
         )
+    if b_holds:
+        borderline = _on_breakpoint(b) or any(flag for _, flag in verdicts)
+        if report["borderline"] != borderline:
+            failures.append(
+                f"borderline: reported {report['borderline']}, recomputed {borderline}"
+            )
     return failures

@@ -20,7 +20,6 @@ separated (power 2).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -28,12 +27,11 @@ import numpy as np
 
 from .analysis import (
     RieszCertificate,
-    eta,
+    block_stats,
+    block_verdict,
     normalize_block,
-    riesz_certificate,
+    riesz_from_stats,
     schur_bessel_bound,
-    separation_constant,
-    sigma,
     spectral_bessel_bound,
 )
 from .errors import ArgumentError, TooLargeForOracle, WeightMatrixError
@@ -86,6 +84,8 @@ class BlockCertificate:
     eta: float
     gamma: float
     riesz: RieszCertificate
+    certified: bool  # the mode's verdict (analysis.block_verdict)
+    borderline: bool
 
 
 @dataclass(frozen=True)
@@ -257,15 +257,17 @@ def brute_force_bipartition(
     return first, second, best_val
 
 
-def _certify_block(
-    g: GramMatrix, block: tuple[int, ...]
-) -> BlockCertificate:
+def _certify_block(g: GramMatrix, block: tuple[int, ...], mode: str) -> BlockCertificate:
+    stats = block_stats(g, np.array(block))
+    certified, borderline = block_verdict(mode, stats.sigma, stats.eta)
     return BlockCertificate(
         indices=block,
-        sigma=sigma(g, block),
-        eta=eta(g, block),
-        gamma=separation_constant(g, block),
-        riesz=riesz_certificate(g, block),
+        sigma=stats.sigma,
+        eta=stats.eta,
+        gamma=stats.gamma,
+        riesz=riesz_from_stats(stats),
+        certified=certified,
+        borderline=borderline,
     )
 
 
@@ -273,7 +275,6 @@ def _certified_partition(
     seq: UnitVectorSequence,
     mode: str,
     bessel_override: float | None = None,
-    threads: int = 1,
 ) -> PartitionCertificate:
     if mode not in MODES:
         raise ArgumentError(f"mode must be one of {MODES}, got {mode!r}")
@@ -290,15 +291,7 @@ def _certified_partition(
     m = required_levels(b + LEVEL_SAFETY)
     power = 1 if mode == "feichtinger" else 2
     part = halving_partition(weight_matrix(g, power), m)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_block = tuple(pool.map(lambda blk: _certify_block(g, blk), part.blocks))
-    else:
-        per_block = tuple(_certify_block(g, blk) for blk in part.blocks)
-    if mode == "feichtinger":
-        all_certified = all(bc.sigma < 1.0 for bc in per_block)
-    else:
-        all_certified = all(bc.eta < 1.0 for bc in per_block)
+    per_block = tuple(_certify_block(g, blk, mode) for blk in part.blocks)
     return PartitionCertificate(
         partition=part,
         mode=mode,
@@ -307,8 +300,8 @@ def _certified_partition(
         schur_bound=schur_b,
         target=(b - 1.0) / 2.0**m,
         per_block=per_block,
-        all_certified=all_certified,
-        borderline=_on_breakpoint(b) or any(bc.riesz.borderline for bc in per_block),
+        all_certified=all(bc.certified for bc in per_block),
+        borderline=_on_breakpoint(b) or any(bc.borderline for bc in per_block),
     )
 
 
@@ -320,9 +313,10 @@ def feichtinger_partition(
     """Partition into sigma-certified Riesz blocks via Schur bound + halving.
 
     Uses B = schur_bessel_bound, weight power 1 and m = required_levels(B);
-    every block then has sigma <= (B - 1) / 2^m < 1.
+    every block then has sigma <= (B - 1) / 2^m < 1.  ``threads`` is
+    accepted and has no effect: blocks are certified in one thread.
     """
-    return _certified_partition(seq, "feichtinger", bessel_override, threads)
+    return _certified_partition(seq, "feichtinger", bessel_override)
 
 
 def uniform_partition(
@@ -334,5 +328,6 @@ def uniform_partition(
 
     Uses the spectral Bessel bound (the tightest valid B), weight power 2
     and m = required_levels(B); every block then has eta <= (B - 1) / 2^m < 1.
+    ``threads`` is accepted and has no effect.
     """
-    return _certified_partition(seq, "uniform", bessel_override, threads)
+    return _certified_partition(seq, "uniform", bessel_override)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from frame_partition import read_report, read_vectors
@@ -222,8 +223,9 @@ class TestCertify:
         pytest.param("feichtinger", {"all_certified": "flip"}, ["all_certified"], id="all"),
         pytest.param("uniform", {"target": float("nan")}, ["target"], id="nan_target"),
         pytest.param("uniform", {"levels": 0}, ["levels", "target", "blocks"], id="too_many_blocks"),
-        pytest.param("uniform", {"spectral_B": 0.5, "bessel_B_used": 0.5}, ["bessel_B_used"],
-                     id="B_below_one"),
+        # spectral_B = 0.5 is also below every block's lambda_max (>= 1 for unit vectors)
+        pytest.param("uniform", {"spectral_B": 0.5, "bessel_B_used": 0.5},
+                     ["spectral_B", "bessel_B_used"], id="B_below_one"),
     ])
     def test_false_global_claim_fails(self, tmp_path, capsys, mode, edit, claims):
         vec, rep = self.make_pair(tmp_path, mode=mode)
@@ -244,6 +246,85 @@ class TestCertify:
         assert run("certify", str(vec), str(rep)) == 5
         lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("claim")]
         assert [line.split()[2].rstrip(":") for line in lines] == claims
+
+    def test_repeated_index_exit_2(self, tmp_path, capsys):
+        vec, rep = self.make_pair(tmp_path)
+        report = json.loads(rep.read_text())
+        pos, block = next((i, b) for i, b in enumerate(report["blocks"]) if len(b["indices"]) > 1)
+        seq = read_vectors(vec)
+        idx = block["indices"] + block["indices"][:1]
+        # the spectrum of the matrix with the repeated row: lambda_min ~ 0
+        eigs = np.linalg.eigvalsh((seq.vectors @ seq.vectors.conj().T)[np.ix_(idx, idx)])
+        block.update(indices=idx, lambda_min=float(eigs[0]), lambda_max=float(eigs[-1]))
+        rep.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run("certify", str(vec), str(rep)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: report block {pos} repeats an index\n"
+
+    @pytest.mark.parametrize("mode", ["feichtinger", "uniform"])
+    @pytest.mark.parametrize("kind", ["random_unit", "duplicates"])
+    def test_zero_tolerance_passes_fresh_report(self, tmp_path, capsys, mode, kind):
+        vec, rep = tmp_path / "v.json", tmp_path / "r.json"
+        # three duplicates: B = 3 sits on a breakpoint, so the report is borderline
+        run("generate", "--kind", kind, "--dim", "8", "--count", "24", "--seed", "5",
+            "--multiplicity", "3", "--field", "complex", "-o", str(vec))
+        run("partition", str(vec), "--mode", mode, "-o", str(rep))
+        assert read_report(rep)["borderline"] == (kind == "duplicates")
+        capsys.readouterr()
+        assert run("certify", str(vec), str(rep), "--tol", "0") == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", ["feichtinger", "uniform"])
+    def test_spectral_bound_below_blocks_fails(self, tmp_path, capsys, mode):
+        vec, rep = self.make_pair(tmp_path, mode=mode)
+        report = json.loads(rep.read_text())
+        report["global_bounds"]["spectral_B"] = 0.01
+        rep.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run("certify", str(vec), str(rep)) == 5
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("claim")]
+        assert lines[0].startswith("claim FAIL: spectral_B: reported 0.01")
+
+    def test_spectral_bound_above_schur_fails(self, tmp_path, capsys):
+        vec, rep = self.make_pair(tmp_path)
+        report = json.loads(rep.read_text())
+        report["global_bounds"]["spectral_B"] = report["global_bounds"]["schur_B"] + 1e-6
+        rep.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run("certify", str(vec), str(rep)) == 5
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("claim")]
+        assert [line.split()[2] for line in lines] == ["spectral_B:"]
+
+    @pytest.mark.parametrize("mode", ["feichtinger", "uniform"])
+    @pytest.mark.parametrize("kind", ["random_unit", "duplicates"])
+    def test_flipped_report_borderline_fails(self, tmp_path, capsys, mode, kind):
+        vec, rep = tmp_path / "v.json", tmp_path / "r.json"
+        run("generate", "--kind", kind, "--dim", "8", "--count", "24", "--seed", "5",
+            "--multiplicity", "3", "-o", str(vec))
+        run("partition", str(vec), "--mode", mode, "-o", str(rep))
+        report = json.loads(rep.read_text())
+        report["borderline"] = not report["borderline"]
+        rep.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run("certify", str(vec), str(rep)) == 5
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("claim")]
+        assert lines == [
+            f"claim FAIL: borderline: reported {report['borderline']}, "
+            f"recomputed {not report['borderline']}"
+        ]
+
+    @pytest.mark.parametrize("mode", ["feichtinger", "uniform"])
+    def test_flipped_block_borderline_fails(self, tmp_path, capsys, mode):
+        vec, rep = self.make_pair(tmp_path, mode=mode)
+        report = json.loads(rep.read_text())
+        report["blocks"][1]["borderline"] = True
+        rep.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run("certify", str(vec), str(rep)) == 5
+        out = capsys.readouterr().out
+        assert "block 1 " in out and "FAIL" in out
+        assert "  borderline: reported True, recomputed False" in out.splitlines()
 
     def test_loose_tolerance_lets_small_edits_pass(self, tmp_path):
         vec, rep = self.make_pair(tmp_path)

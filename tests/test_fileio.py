@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import math
 import re
 from types import SimpleNamespace
 from unittest import mock
@@ -28,7 +30,7 @@ from frame_partition import (
     write_report,
     write_vectors,
 )
-from frame_partition.fileio import _parse_json_vectors
+from frame_partition.fileio import _conforms, _parse_json_vectors
 
 import golden_reports
 from golden_digests import GOLDEN_PATH, case_digests, corpus_digests
@@ -263,6 +265,111 @@ class TestGoldenReports:
 
     def test_override_reports_unchanged(self):
         assert golden_reports.override_digests() == self.golden["override"]
+
+
+def _base_reports() -> list[dict]:
+    seq = generate(GeneratorSpec("random_unit", dim=4, count=12, seed=3, field="complex"))
+    return [
+        build_report(partitioner(seq), seq, timings={"partition_s": 0.01})
+        for partitioner in (feichtinger_partition, uniform_partition)
+    ]
+
+
+BASE_REPORTS = _base_reports()
+DIGEST = BASE_REPORTS[0]["input_digest"]
+MUTANT_VALUES = [
+    True, False, None, 0, 1, 2, -1, 1.0, 3.0, -0.0, 0.5, -2.5, math.nan, math.inf, -math.inf,
+    10**30, -(10**30), "", "x", "1", "feichtinger", "uniform", [], [0], [1.0], [True], {},
+    {"a": 1}, DIGEST + "\n", DIGEST + "0", DIGEST.upper(), "0" * 64, DIGEST[:-1],
+]
+MUTANT_KEYS = ["extra", "sigma", "indices", "mode", "timings", "spectral_B", "levels"]
+SCHEMA_VALIDATOR = jsonschema.Draft202012Validator(CERTIFICATE_SCHEMA)
+
+
+def _containers(doc, path=()):
+    """Paths to every dict and list inside ``doc``, ``doc`` itself first."""
+    if isinstance(doc, (dict, list)):
+        yield path
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _containers(value, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _edit(report, path, action, key, value):
+    """Apply one edit in place: set ``key`` to ``value``, delete it, or add ``value``."""
+    target = _at(report, path)
+    if action == "delete":
+        del target[key]
+    elif action == "add" and isinstance(target, list):
+        target.append(copy.deepcopy(value))
+    else:
+        target[key] = copy.deepcopy(value)
+
+
+def _single_edits(report):
+    """Every value of ``report`` swapped for each mutant value or deleted, and one
+    mutant value added to every dict and list."""
+    for path in _containers(report):
+        target = _at(report, path)
+        for key in list(target) if isinstance(target, dict) else range(len(target)):
+            yield path, "delete", key, None
+            for value in MUTANT_VALUES:
+                yield path, "set", key, value
+        for value in MUTANT_VALUES:
+            yield path, "add", "extra", value
+
+
+@st.composite
+def mutated_reports(draw):
+    """A real report with one to four values swapped, keys deleted or keys added."""
+    report = copy.deepcopy(draw(st.sampled_from(BASE_REPORTS)))
+    for _ in range(draw(st.sampled_from([1, 1, 1, 2, 4]))):
+        path = draw(st.sampled_from(list(_containers(report))))
+        target = _at(report, path)
+        keys = list(target) if isinstance(target, dict) else list(range(len(target)))
+        action = draw(st.sampled_from(["set", "delete", "add"] if keys else ["add"]))
+        key = draw(st.sampled_from(MUTANT_KEYS if action == "add" else keys))
+        _edit(report, path, action, key, draw(st.sampled_from(MUTANT_VALUES)))
+    return report
+
+
+class TestConforms:
+    """``_conforms`` is the fast path of report validation: it may accept only what
+    the schema accepts, and it must accept the reports the program builds."""
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(mutated_reports())
+    def test_accepts_only_schema_valid_reports(self, report):
+        assert not _conforms(report) or SCHEMA_VALIDATOR.is_valid(report)
+
+    def test_every_single_edit(self):
+        # two blocks keep every schema position while the edit count stays small
+        base = dict(BASE_REPORTS[0], blocks=BASE_REPORTS[0]["blocks"][:2])
+        accepted = 0
+        for edit in _single_edits(base):
+            report = copy.deepcopy(base)
+            _edit(report, *edit)
+            if _conforms(report):
+                accepted += 1
+                assert SCHEMA_VALIDATOR.is_valid(report), edit
+        assert accepted > 100
+
+    def test_base_reports_conform(self):
+        assert all(_conforms(report) for report in BASE_REPORTS)
+
+    def test_corpus_reports_conform(self, corpus):
+        rejected = [
+            (spec, partitioner.__name__)
+            for spec, seq in corpus
+            for partitioner in (feichtinger_partition, uniform_partition)
+            if not _conforms(build_report(partitioner(seq), seq, timings={"partition_s": 0.01}))
+        ]
+        assert rejected == []
 
 
 class TestReports:
