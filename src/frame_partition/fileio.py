@@ -23,7 +23,7 @@ from jsonschema.exceptions import ValidationError, best_match
 from . import analysis
 from .errors import ArgumentError
 from .linalg import UnitVectorSequence, gram
-from .partition import LEVEL_SAFETY, MODES, PartitionCertificate, _on_breakpoint, required_levels
+from .partition import LEVEL_SAFETY, PartitionCertificate, _on_breakpoint, required_levels
 
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
@@ -115,6 +115,7 @@ _BOUND_KEYS = frozenset(CERTIFICATE_SCHEMA["properties"]["global_bounds"]["requi
 _BLOCK_KEYS = frozenset(_BLOCK_SCHEMA["required"])
 _BLOCK_NUMBERS = [k for k, v in _BLOCK_SCHEMA["properties"].items() if v.get("type") == "number"]
 _DIGEST = re.compile(CERTIFICATE_SCHEMA["properties"]["input_digest"]["pattern"])
+_MODES = CERTIFICATE_SCHEMA["properties"]["mode"]["enum"]
 
 
 def _is_number(x: Any) -> bool:
@@ -144,7 +145,7 @@ def _conforms(report: Any) -> bool:
         and type(report["tool_version"]) is str
         and type(report["input_digest"]) is str
         and _DIGEST.search(report["input_digest"])
-        and report["mode"] in MODES
+        and report["mode"] in _MODES
         and type(bounds) is dict
         and bounds.keys() == _BOUND_KEYS
         and all(_is_number(v) for v in bounds.values())

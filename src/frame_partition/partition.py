@@ -209,7 +209,7 @@ def required_levels(b: float) -> int:
     if not math.isfinite(b) or b < 1.0:
         raise ArgumentError(f"Bessel constant must be >= 1, got {b!r}")
     m = 0
-    while (b - 1.0) / 2.0**m >= 1.0:
+    while math.ldexp(b - 1.0, -m) >= 1.0:  # (B - 1) / 2^m; 2.0**1024 would overflow
         m += 1
     return m
 
@@ -218,7 +218,7 @@ def _on_breakpoint(b: float) -> bool:
     if abs(b - 1.0) <= BREAKPOINT_TOL:
         return False  # m = 0 on both sides of B = 1
     k = 0
-    while 1.0 + 2.0**k <= b + 1.0:
+    while k < 1024 and 1.0 + 2.0**k <= b + 1.0:  # 2.0**1024 overflows
         if abs(b - (1.0 + 2.0**k)) <= BREAKPOINT_TOL:
             return True
         k += 1
@@ -298,7 +298,7 @@ def _certified_partition(
         global_bessel=b,
         spectral_bound=spectral_b,
         schur_bound=schur_b,
-        target=(b - 1.0) / 2.0**m,
+        target=math.ldexp(b - 1.0, -m),
         per_block=per_block,
         all_certified=all(bc.certified for bc in per_block),
         borderline=_on_breakpoint(b) or any(bc.borderline for bc in per_block),

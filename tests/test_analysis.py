@@ -18,6 +18,7 @@ from frame_partition import (
     spectral_bessel_bound,
     verify_riesz_inequality,
 )
+from frame_partition.analysis import block_stats, block_verdict
 from frame_partition.generators import GeneratorSpec, generate
 
 
@@ -127,6 +128,32 @@ class TestRowFunctionals:
     def test_separation_report(self):
         rep = separation_report(pair_gram(0.5))
         assert (rep.sigma, rep.eta, rep.gamma) == (0.5, 0.25, 0.5)
+
+
+class TestBlockStats:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_bit_equal_to_separate_functions(self, field):
+        rng = np.random.Generator(np.random.PCG64(5))
+        for seed in range(20):
+            g = random_gram(seed, dim=4, count=12, field=field)
+            idx = np.sort(rng.choice(12, size=rng.integers(1, 13), replace=False))
+            eigs = hermitian_eigenvalues(g.submatrix(idx))
+            stats = block_stats(g, idx)
+            assert (stats.sigma, stats.eta, stats.gamma) == (
+                sigma(g, idx), eta(g, idx), separation_constant(g, idx)
+            )
+            assert (stats.lambda_min, stats.lambda_max) == (eigs[0], eigs[-1])
+
+    @pytest.mark.parametrize("s, e, feichtinger, uniform, borderline", [
+        (0.5, 0.9, True, True, False),
+        (1.0, 0.5, False, True, False),
+        (0.5, 1.0, True, False, False),
+        (1.0 - 1e-13, 0.5, True, True, True),
+        (1.0 - 1e-13, 1.0, True, False, True),
+    ])
+    def test_verdict(self, s, e, feichtinger, uniform, borderline):
+        assert block_verdict("feichtinger", s, e) == (feichtinger, borderline)
+        assert block_verdict("uniform", s, e) == (uniform, borderline)
 
 
 class TestRieszCertificate:

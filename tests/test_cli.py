@@ -106,6 +106,14 @@ class TestPartition:
         assert report["mode"] == "uniform"
         assert all(b["eta"] < 1.0 for b in report["blocks"])
 
+    def test_huge_bessel_override_certifies(self, tmp_path):
+        # 1024 levels: 2.0**1024 overflows, so the level and target arithmetic must not use it
+        vec, rep = tmp_path / "v.json", tmp_path / "r.json"
+        run("generate", "--kind", "orthonormal", "--dim", "2", "--count", "2", "-o", str(vec))
+        assert run("partition", str(vec), "--bessel-override", "1e308", "-o", str(rep)) == 0
+        assert read_report(rep)["levels"] == 1024
+        assert run("certify", str(vec), str(rep), "--tol", "0") == 0
+
     def test_bessel_override_too_small_exit_2(self, tmp_path):
         vec, rep = tmp_path / "v.json", tmp_path / "r.json"
         run("generate", "--kind", "duplicates", "--dim", "2", "--multiplicity", "3",
@@ -221,6 +229,7 @@ class TestCertify:
         pytest.param("feichtinger", {"schur_B": 0.01}, ["schur_B"], id="schur_B"),
         pytest.param("feichtinger", {"bessel_B_used": "/2"}, ["bessel_B_used"], id="B_below"),
         pytest.param("feichtinger", {"all_certified": "flip"}, ["all_certified"], id="all"),
+        pytest.param("feichtinger", {"bessel_B_used": 1e308}, ["levels", "target"], id="huge_B"),
         pytest.param("uniform", {"target": float("nan")}, ["target"], id="nan_target"),
         pytest.param("uniform", {"levels": 0}, ["levels", "target", "blocks"], id="too_many_blocks"),
         # spectral_B = 0.5 is also below every block's lambda_max (>= 1 for unit vectors)
