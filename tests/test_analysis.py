@@ -30,6 +30,16 @@ def random_gram(seed, dim=6, count=10, field="complex"):
     return gram(generate(GeneratorSpec("random_unit", dim=dim, count=count, seed=seed, field=field)))
 
 
+def reference_row_functionals(g, idx):
+    """(sigma, eta, gamma) of the block by separate passes, independent of the library kernel."""
+    mag = np.abs(g.entries[np.ix_(idx, idx)])
+    np.fill_diagonal(mag, 0.0)
+    sq = np.abs(g.entries[np.ix_(idx, idx)]) ** 2
+    np.fill_diagonal(sq, 0.0)
+    gamma = 0.0 if len(idx) == 1 else float(mag.max())
+    return float(mag.sum(axis=0).max()), float(sq.sum(axis=0).max()), gamma
+
+
 class TestBesselBounds:
     def test_identity_spectral(self):
         assert spectral_bessel_bound(GramMatrix(np.eye(3))) == pytest.approx(1.0, abs=1e-12)
@@ -56,7 +66,7 @@ class TestBesselBounds:
     def test_schur_dominates_spectral(self):
         for seed in range(10):
             g = random_gram(seed)
-            assert spectral_bessel_bound(g) <= schur_bessel_bound(g) + 1e-9
+            assert 1.0 - 1e-9 <= spectral_bessel_bound(g) <= schur_bessel_bound(g) + 1e-9
 
     def test_bessel_report_invariants(self):
         g = random_gram(17)
@@ -139,9 +149,9 @@ class TestBlockStats:
             idx = np.sort(rng.choice(12, size=rng.integers(1, 13), replace=False))
             eigs = hermitian_eigenvalues(g.submatrix(idx))
             stats = block_stats(g, idx)
-            assert (stats.sigma, stats.eta, stats.gamma) == (
-                sigma(g, idx), eta(g, idx), separation_constant(g, idx)
-            )
+            expected = reference_row_functionals(g, idx)
+            assert (stats.sigma, stats.eta, stats.gamma) == expected
+            assert (sigma(g, idx), eta(g, idx), separation_constant(g, idx)) == expected
             assert (stats.lambda_min, stats.lambda_max) == (eigs[0], eigs[-1])
 
     @pytest.mark.parametrize("s, e, feichtinger, uniform, borderline", [

@@ -3,8 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from frame_partition import read_report, read_vectors
+from frame_partition import (
+    gram,
+    read_report,
+    read_vectors,
+    schur_bessel_bound,
+    spectral_bessel_bound,
+)
 from frame_partition.cli import main
+
+from test_analysis import reference_row_functionals
 
 
 def run(*argv):
@@ -64,6 +72,22 @@ class TestAnalyze:
         assert values["gamma"] == 1.0
         assert values["sigma"] == 1.0
         assert values["spectral_B"] == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_json_values_match_library(self, tmp_path, capsys, field):
+        out = tmp_path / "v.json"
+        run("generate", "--kind", "random_unit", "--dim", "8", "--count", "40", "--seed", "3",
+            "--field", field, "-o", str(out))
+        capsys.readouterr()
+        assert run("analyze", str(out), "--json") == 0
+        values = json.loads(capsys.readouterr().out)
+        seq = read_vectors(out)
+        g = gram(seq)
+        assert (values["n"], values["dim"], values["field"]) == (40, 8, field)
+        assert values["spectral_B"] == spectral_bessel_bound(g)
+        assert values["schur_B"] == schur_bessel_bound(g)
+        expected = reference_row_functionals(g, np.arange(seq.n))
+        assert (values["sigma"], values["eta"], values["gamma"]) == expected
 
     def test_malformed_file_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"

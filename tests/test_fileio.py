@@ -87,6 +87,25 @@ class TestVectorFiles:
         with pytest.raises(ArgumentError):
             read_vectors(path)
 
+    @pytest.mark.parametrize("field, rows, message", [
+        ("real", ["1.0,abc"], "row 0 col 1: unparseable cell 'abc'"),
+        ("real", ["1.0,0.0", "0.0,"], "row 1 col 1: unparseable cell ''"),
+        ("real", ["1.0:0.0,0.0"], "row 0 col 0: unparseable cell '1.0:0.0'"),
+        ("complex", ["1.0:0.0,not-a-pair"], "row 0 col 1: unparseable cell 'not-a-pair'"),
+        ("complex", ["1.0:0.0:0.0,0.0:0.0"], "row 0 col 0: unparseable cell '1.0:0.0:0.0'"),
+        ("complex", ["1.0:0.0,0.0:x"], "row 0 col 1: unparseable cell '0.0:x'"),
+        ("complex", ["1.0:0.0,0.0:0.0", "1.0,0.0:0.0"], "row 1 col 0: unparseable cell '1.0'"),
+        ("real", ["1.0"], "row 0 has 1 cells, expected 2"),
+        ("real", ["1.0,0.0", "0.0,1.0", "0.0,1.0"], "expected 1 vector rows, found 3"),
+    ])
+    def test_csv_messages(self, tmp_path, field, rows, message):
+        path = tmp_path / "v.csv"
+        count = 1 if message.startswith("expected") else len(rows)
+        path.write_text("\n".join(["dim,field,count", f"2,{field},{count}", *rows]) + "\n")
+        with pytest.raises(ArgumentError) as info:
+            read_vectors(path)
+        assert str(info.value) == message
+
     def test_norm_violation_on_read(self, tmp_path):
         path = tmp_path / "v.json"
         path.write_text(
