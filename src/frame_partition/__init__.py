@@ -4,32 +4,22 @@ Certifies when a finite system of unit vectors forms a Riesz sequence (via
 the off-diagonal row-sum criterion on its Gram matrix) and constructively
 partitions any such system into finitely many certified Riesz or uniformly
 separated blocks, with machine-checkable spectral certificates.
+
+The package root exports what the CLI and the README use; everything else
+is imported from its submodule (``frame_partition.linalg``, ``.analysis``,
+``.partition``, ``.fileio``, ``.generators``, ``.errors``).
 """
 
 from .analysis import (
-    BesselReport,
-    RieszCertificate,
-    SeparationReport,
-    bessel_report,
     eta,
     riesz_certificate,
+    row_functionals,
     schur_bessel_bound,
     separation_constant,
-    separation_report,
     sigma,
     spectral_bessel_bound,
-    verify_riesz_inequality,
 )
-from .errors import (
-    ArgumentError,
-    DimensionError,
-    EmptyBlockError,
-    FramePartitionError,
-    NormViolation,
-    SymmetryViolation,
-    TooLargeForOracle,
-    WeightMatrixError,
-)
+from .errors import ArgumentError, FramePartitionError, NormViolation
 from .fileio import (
     CERTIFICATE_SCHEMA,
     build_report,
@@ -41,77 +31,35 @@ from .fileio import (
     write_vectors,
 )
 from .generators import KINDS, GeneratorSpec, generate
-from .linalg import (
-    GramMatrix,
-    UnitVectorSequence,
-    WeightMatrix,
-    analysis_op,
-    gram,
-    hermitian_eigenvalues,
-    synthesis,
-    weight_matrix,
-)
-from .partition import (
-    BlockCertificate,
-    Partition,
-    PartitionCertificate,
-    brute_force_bipartition,
-    feichtinger_partition,
-    halving_partition,
-    mills_bipartition,
-    required_levels,
-    uniform_partition,
-)
+from .linalg import UnitVectorSequence, gram
+from .partition import feichtinger_partition, uniform_partition
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArgumentError",
-    "BesselReport",
-    "BlockCertificate",
     "CERTIFICATE_SCHEMA",
-    "DimensionError",
-    "EmptyBlockError",
     "FramePartitionError",
     "GeneratorSpec",
-    "GramMatrix",
     "KINDS",
     "NormViolation",
-    "Partition",
-    "PartitionCertificate",
-    "RieszCertificate",
-    "SeparationReport",
-    "SymmetryViolation",
-    "TooLargeForOracle",
     "UnitVectorSequence",
-    "WeightMatrix",
-    "WeightMatrixError",
-    "analysis_op",
-    "bessel_report",
-    "brute_force_bipartition",
     "build_report",
     "eta",
     "feichtinger_partition",
     "generate",
     "gram",
-    "halving_partition",
-    "hermitian_eigenvalues",
-    "mills_bipartition",
     "read_report",
     "read_vectors",
     "recertify",
-    "required_levels",
     "riesz_certificate",
+    "row_functionals",
     "schur_bessel_bound",
     "separation_constant",
-    "separation_report",
     "sequence_digest",
     "sigma",
     "spectral_bessel_bound",
-    "synthesis",
     "uniform_partition",
-    "verify_riesz_inequality",
-    "weight_matrix",
     "write_report",
     "write_vectors",
 ]

@@ -18,7 +18,7 @@ row sums + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -42,20 +42,6 @@ def normalize_block(n: int, block: Iterable[int] | None) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BesselReport:
-    spectral_bound: float
-    schur_bound: float
-    is_bessel_schur: bool = True  # always true for finite sequences
-
-
-@dataclass(frozen=True)
-class SeparationReport:
-    sigma: float
-    eta: float
-    gamma: float
-
-
-@dataclass(frozen=True)
 class RieszCertificate:
     sigma: float
     lambda_min: float
@@ -76,38 +62,34 @@ def schur_bessel_bound(g: GramMatrix) -> float:
     return float(np.abs(g.entries).sum(axis=1).max())
 
 
-def sigma(g: GramMatrix, block: Iterable[int] | None = None) -> float:
-    """Largest off-diagonal absolute row sum over the block; 0 for singletons."""
+def _row_functionals(sub: np.ndarray) -> tuple[float, float, float]:
+    """(sigma, eta, gamma) of a block submatrix: one ``abs`` pass, diagonal zeroed."""
+    mag = np.abs(sub, order="C")  # C order fixes the summation order of the column sums
+    mag.flat[:: sub.shape[0] + 1] = 0.0  # the diagonal
+    return float(mag.sum(axis=0).max()), float((mag**2).sum(axis=0).max()), float(mag.max())
+
+
+def row_functionals(g: GramMatrix, block: Iterable[int] | None = None) -> tuple[float, float, float]:
+    """(sigma, eta, gamma) over the block; all three are 0 for singletons."""
+    if block is None:
+        return _row_functionals(g.entries)
     idx = normalize_block(g.n, block)
-    sub = np.abs(g.submatrix(idx))
-    np.fill_diagonal(sub, 0.0)
-    return float(sub.sum(axis=0).max())
+    return _row_functionals(g.entries.take(idx, axis=0).take(idx, axis=1))
+
+
+def sigma(g: GramMatrix, block: Iterable[int] | None = None) -> float:
+    """Largest off-diagonal absolute row sum over the block."""
+    return row_functionals(g, block)[0]
 
 
 def eta(g: GramMatrix, block: Iterable[int] | None = None) -> float:
     """Largest off-diagonal squared-magnitude row sum over the block."""
-    idx = normalize_block(g.n, block)
-    sub = np.abs(g.submatrix(idx)) ** 2
-    np.fill_diagonal(sub, 0.0)
-    return float(sub.sum(axis=0).max())
+    return row_functionals(g, block)[1]
 
 
 def separation_constant(g: GramMatrix, block: Iterable[int] | None = None) -> float:
-    """Largest off-diagonal |G_ij| over the block; 0 for singletons."""
-    idx = normalize_block(g.n, block)
-    sub = np.abs(g.submatrix(idx))
-    if idx.size == 1:
-        return 0.0
-    np.fill_diagonal(sub, 0.0)
-    return float(sub.max())
-
-
-def bessel_report(g: GramMatrix) -> BesselReport:
-    return BesselReport(spectral_bessel_bound(g), schur_bessel_bound(g))
-
-
-def separation_report(g: GramMatrix, block: Iterable[int] | None = None) -> SeparationReport:
-    return SeparationReport(sigma(g, block), eta(g, block), separation_constant(g, block))
+    """Largest off-diagonal |G_ij| over the block."""
+    return row_functionals(g, block)[2]
 
 
 @dataclass(frozen=True)
@@ -120,25 +102,16 @@ class BlockStats:
 
 
 def block_stats(g: GramMatrix, idx: np.ndarray) -> BlockStats:
-    """sigma, eta, gamma and the extreme eigenvalues of one block, in one pass.
+    """sigma, eta, gamma and the extreme eigenvalues of one block.
 
     ``idx`` must hold sorted, distinct, in-range indices (a partition block
     or a normalized block); it is not re-checked.  The submatrix of a
     ``GramMatrix`` is Hermitian by construction, so the spectrum is taken
-    without a re-check.  The row sums are those of ``sigma`` and ``eta``,
-    so the values are bit-equal to theirs.
+    without a re-check.
     """
     sub = g.entries.take(idx, axis=0).take(idx, axis=1)  # g.entries[np.ix_(idx, idx)]
     eigs = np.linalg.eigvalsh(sub)
-    mag = np.abs(sub)
-    mag.flat[:: idx.size + 1] = 0.0  # the diagonal
-    return BlockStats(
-        sigma=float(mag.sum(axis=0).max()),
-        eta=float((mag**2).sum(axis=0).max()),
-        gamma=float(mag.max()),
-        lambda_min=float(eigs[0]),
-        lambda_max=float(eigs[-1]),
-    )
+    return BlockStats(*_row_functionals(sub), lambda_min=float(eigs[0]), lambda_max=float(eigs[-1]))
 
 
 def block_verdict(mode: str, sigma: float, eta: float) -> tuple[bool, bool]:

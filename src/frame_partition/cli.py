@@ -53,10 +53,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "field": seq.field,
         "spectral_B": analysis.spectral_bessel_bound(g),
         "schur_B": analysis.schur_bessel_bound(g),
-        "sigma": analysis.sigma(g),
-        "eta": analysis.eta(g),
-        "gamma": analysis.separation_constant(g),
     }
+    values["sigma"], values["eta"], values["gamma"] = analysis.row_functionals(g)
     if args.json:
         print(json.dumps(values, indent=2))
     else:

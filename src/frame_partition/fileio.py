@@ -14,7 +14,7 @@ import json
 import math
 import re
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 from jsonschema import Draft202012Validator
@@ -23,7 +23,7 @@ from jsonschema.exceptions import ValidationError, best_match
 from . import analysis
 from .errors import ArgumentError
 from .linalg import UnitVectorSequence, gram
-from .partition import LEVEL_SAFETY, PartitionCertificate, _on_breakpoint, required_levels
+from .partition import PartitionCertificate, halving_plan
 
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
@@ -264,20 +264,34 @@ def _numeric_rows(rows: list, shape: tuple[int, ...]) -> np.ndarray | None:
     return a.view(np.complex128)[..., 0] if len(shape) == 3 else a
 
 
-def _parse_cells(rows: list, count: int, dim: int, field: str) -> np.ndarray:
-    """Cell-by-cell parse of shape-checked rows; names the first unparseable cell."""
+def _json_pair(cell: Any) -> complex | None:
+    """An ``[re, im]`` cell as a complex number; None for a cell that is not a pair."""
+    if isinstance(cell, list) and len(cell) == 2:
+        return complex(float(cell[0]), float(cell[1]))
+    return None
+
+
+def _csv_pair(cell: str) -> complex:
+    re_part, im_part = cell.split(":")
+    return complex(float(re_part), float(im_part))
+
+
+def _parse_cells(rows: list, count: int, dim: int, value: Callable[[Any], Any]) -> np.ndarray:
+    """Cell-by-cell parse of shape-checked rows; names the first unparseable cell.
+
+    ``value`` turns one cell into a number; it returns None for a JSON
+    complex cell that is not an ``[re, im]`` pair.
+    """
     vectors = np.zeros((count, dim), dtype=np.complex128)
     for i, row in enumerate(rows):
         for j, cell in enumerate(row):
-            if field == "complex" and not (isinstance(cell, list) and len(cell) == 2):
-                raise ArgumentError(f"row {i} col {j}: expected [re, im] pair")
             try:
-                if field == "complex":
-                    vectors[i, j] = complex(float(cell[0]), float(cell[1]))
-                else:
-                    vectors[i, j] = float(cell)
+                x = value(cell)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ArgumentError(f"row {i} col {j}: unparseable cell {cell!r}") from exc
+            if x is None:
+                raise ArgumentError(f"row {i} col {j}: expected [re, im] pair")
+            vectors[i, j] = x
     return vectors
 
 
@@ -302,7 +316,7 @@ def _parse_json_vectors(doc: Any) -> UnitVectorSequence:
         raise ArgumentError("labels must be a list")
     vectors = _numeric_rows(rows, (count, dim, 2) if field == "complex" else (count, dim))
     if vectors is None:
-        vectors = _parse_cells(rows, count, dim, field)
+        vectors = _parse_cells(rows, count, dim, _json_pair if field == "complex" else float)
     return UnitVectorSequence(
         vectors, field=field, labels=tuple(labels) if labels is not None else None
     )
@@ -323,32 +337,32 @@ def _parse_csv_vectors(text: str) -> UnitVectorSequence:
     for i, row in enumerate(data):
         if len(row) != dim:
             raise ArgumentError(f"row {i} has {len(row)} cells, expected {dim}")
-    vectors = np.zeros((count, dim), dtype=np.complex128)
-    for i, row in enumerate(data):
-        for j, cell in enumerate(row):
-            try:
-                if field == "complex":
-                    re_part, im_part = cell.split(":")
-                    vectors[i, j] = complex(float(re_part), float(im_part))
-                else:
-                    vectors[i, j] = float(cell)
-            except ValueError as exc:
-                raise ArgumentError(f"row {i} col {j}: unparseable cell {cell!r}") from exc
+    vectors = _parse_cells(data, count, dim, _csv_pair if field == "complex" else float)
     return UnitVectorSequence(vectors, field=field)
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ArgumentError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def _load_json(path: Path, what: str) -> Any:
+    """The parsed JSON document; undecodable, invalid or too deeply nested text exits 2."""
+    try:
+        return json.loads(_read_text(path))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ArgumentError(f"invalid JSON in {what}{path}: {exc}") from exc
 
 
 def read_vectors(path: str | Path, fmt: str | None = None) -> UnitVectorSequence:
     path = Path(path)
     fmt = fmt or path.suffix.lstrip(".").lower()
-    text = path.read_text()
     if fmt == "json":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ArgumentError(f"invalid JSON in {path}: {exc}") from exc
-        return _parse_json_vectors(doc)
+        return _parse_json_vectors(_load_json(path, ""))
     if fmt == "csv":
-        return _parse_csv_vectors(text)
+        return _parse_csv_vectors(_read_text(path))
     raise ArgumentError(f"unknown vector file format {fmt!r} (use json or csv)")
 
 
@@ -400,10 +414,7 @@ def write_report(path: str | Path, report: dict[str, Any]) -> None:
 
 
 def read_report(path: str | Path) -> dict[str, Any]:
-    try:
-        report = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ArgumentError(f"invalid JSON in report {path}: {exc}") from exc
+    report = _load_json(Path(path), "report ")
     try:
         _validate_report(report)
     except ValidationError as exc:
@@ -497,13 +508,16 @@ def _claim_failures(
     b = bounds["bessel_B_used"]
     mode_b = schur_b if report["mode"] == "feichtinger" else bounds["spectral_B"]
     levels = int(report["levels"])
-    b_holds = math.isfinite(b) and b >= mode_b - tol and b + LEVEL_SAFETY >= 1.0
-    if not b_holds:
+    try:
+        plan = halving_plan(b) if b >= mode_b - tol else None
+    except ArgumentError:  # B is not a finite number >= 1
+        plan = None
+    if plan is None:
         failures.append(
             f"bessel_B_used: reported {b!r}, not >= 1 and the {report['mode']} bound {mode_b!r}"
         )
     else:
-        required = required_levels(b + LEVEL_SAFETY)
+        required, on_breakpoint = plan
         if levels != required:
             failures.append(f"levels: reported {levels}, required {required} for B={b!r}")
         target = math.ldexp(b - 1.0, -levels)
@@ -517,8 +531,8 @@ def _claim_failures(
         failures.append(
             f"all_certified: reported {report['all_certified']}, recomputed {all_certified}"
         )
-    if b_holds:
-        borderline = _on_breakpoint(b) or any(flag for _, flag in verdicts)
+    if plan is not None:
+        borderline = on_breakpoint or any(flag for _, flag in verdicts)
         if report["borderline"] != borderline:
             failures.append(
                 f"borderline: reported {report['borderline']}, recomputed {borderline}"

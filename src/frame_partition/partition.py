@@ -214,15 +214,20 @@ def required_levels(b: float) -> int:
     return m
 
 
-def _on_breakpoint(b: float) -> bool:
-    if abs(b - 1.0) <= BREAKPOINT_TOL:
-        return False  # m = 0 on both sides of B = 1
-    k = 0
-    while k < 1024 and 1.0 + 2.0**k <= b + 1.0:  # 2.0**1024 overflows
-        if abs(b - (1.0 + 2.0**k)) <= BREAKPOINT_TOL:
-            return True
-        k += 1
-    return False
+def halving_plan(b: float) -> tuple[int, bool]:
+    """``(levels, on_breakpoint)`` of the halving for the Bessel constant B.
+
+    ``levels`` is required_levels(B + LEVEL_SAFETY), so a non-finite B or
+    one below 1 - LEVEL_SAFETY raises ArgumentError.  ``on_breakpoint`` says
+    whether B is within BREAKPOINT_TOL of some 1 + 2^k; only k = levels - 1
+    can be, or k = levels where 1 + 2^k rounds down (2^53: LEVEL_SAFETY is
+    below its half-ulp).
+    """
+    m = required_levels(b + LEVEL_SAFETY)
+    on_breakpoint = any(
+        abs(b - (1.0 + math.ldexp(1.0, k))) <= BREAKPOINT_TOL for k in (m - 1, m) if 0 <= k < 1024
+    )
+    return m, on_breakpoint
 
 
 def brute_force_bipartition(
@@ -288,7 +293,7 @@ def _certified_partition(
                 f"Bessel override {bessel_override} is below the computed bound {b}"
             )
         b = float(bessel_override)
-    m = required_levels(b + LEVEL_SAFETY)
+    m, on_breakpoint = halving_plan(b)
     power = 1 if mode == "feichtinger" else 2
     part = halving_partition(weight_matrix(g, power), m)
     per_block = tuple(_certify_block(g, blk, mode) for blk in part.blocks)
@@ -301,7 +306,7 @@ def _certified_partition(
         target=math.ldexp(b - 1.0, -m),
         per_block=per_block,
         all_certified=all(bc.certified for bc in per_block),
-        borderline=_on_breakpoint(b) or any(bc.borderline for bc in per_block),
+        borderline=on_breakpoint or any(bc.borderline for bc in per_block),
     )
 
 

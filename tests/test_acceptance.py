@@ -12,23 +12,24 @@ import pytest
 
 from frame_partition import (
     GeneratorSpec,
-    brute_force_bipartition,
     build_report,
     eta,
     feichtinger_partition,
     generate,
     gram,
-    halving_partition,
-    hermitian_eigenvalues,
-    mills_bipartition,
     recertify,
-    required_levels,
     riesz_certificate,
     schur_bessel_bound,
     sigma,
     spectral_bessel_bound,
     uniform_partition,
-    weight_matrix,
+)
+from frame_partition.linalg import hermitian_eigenvalues
+from frame_partition.partition import (
+    brute_force_bipartition,
+    halving_partition,
+    mills_bipartition,
+    required_levels,
 )
 from frame_partition.cli import main as cli_main
 

@@ -3,22 +3,18 @@ import pytest
 
 from frame_partition import (
     ArgumentError,
-    EmptyBlockError,
-    GramMatrix,
     UnitVectorSequence,
-    bessel_report,
     eta,
     gram,
-    hermitian_eigenvalues,
     riesz_certificate,
     schur_bessel_bound,
     separation_constant,
-    separation_report,
     sigma,
     spectral_bessel_bound,
-    verify_riesz_inequality,
 )
-from frame_partition.analysis import block_stats, block_verdict
+from frame_partition.analysis import block_stats, block_verdict, verify_riesz_inequality
+from frame_partition.errors import EmptyBlockError
+from frame_partition.linalg import GramMatrix, hermitian_eigenvalues
 from frame_partition.generators import GeneratorSpec, generate
 
 
@@ -67,13 +63,6 @@ class TestBesselBounds:
         for seed in range(10):
             g = random_gram(seed)
             assert 1.0 - 1e-9 <= spectral_bessel_bound(g) <= schur_bessel_bound(g) + 1e-9
-
-    def test_bessel_report_invariants(self):
-        g = random_gram(17)
-        rep = bessel_report(g)
-        assert rep.is_bessel_schur
-        assert rep.spectral_bound <= rep.schur_bound + 1e-9
-        assert rep.spectral_bound >= 1.0 - 1e-9
 
 
 class TestRowFunctionals:
@@ -134,10 +123,6 @@ class TestRowFunctionals:
         sub = np.abs(g.entries[np.ix_(block, block)]) ** 2
         expected = max(sub[:, j].sum() - sub[j, j] for j in range(len(block)))
         assert eta(g, block) == pytest.approx(expected, abs=1e-14)
-
-    def test_separation_report(self):
-        rep = separation_report(pair_gram(0.5))
-        assert (rep.sigma, rep.eta, rep.gamma) == (0.5, 0.25, 0.5)
 
 
 class TestBlockStats:

@@ -163,6 +163,9 @@ MALFORMED_VECTOR_FILES = [
     ("huge_dim.json", json.dumps({"dim": 10**12, "field": "real", "count": 1,
                                   "vectors": [[1.0]]})),
     ("huge_dim.csv", f"dim,field,count\n{10**12},real,1\n1.0\n"),
+    ("not_utf8.json", b"\xff\xfe"),
+    ("not_utf8.csv", b"dim,field,count\n1,real,1\n\xff\n"),
+    ("deep_nesting.json", "[" * 100_000 + "]" * 100_000),
 ]
 
 
@@ -172,7 +175,7 @@ class TestMalformedVectorFiles:
     )
     def test_partition_exits_2_with_one_line(self, tmp_path, capsys, name, text):
         path = tmp_path / name
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         assert run("partition", str(path), "-o", str(tmp_path / "r.json")) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
@@ -201,6 +204,17 @@ class TestCertify:
         capsys.readouterr()
         assert run("certify", str(vec), str(rep)) == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("data", [b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000],
+                             ids=["not_utf8", "deep_nesting"])
+    def test_unreadable_report_exit_2(self, tmp_path, capsys, data):
+        vec, rep = self.make_pair(tmp_path)
+        rep.write_bytes(data)
+        capsys.readouterr()
+        assert run("certify", str(vec), str(rep)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err and err.count("\n") == 1
 
     def test_tampered_lambda_fails(self, tmp_path, capsys):
         vec, rep = self.make_pair(tmp_path)

@@ -1,17 +1,12 @@
 import numpy as np
 import pytest
 
-from frame_partition import (
-    ArgumentError,
-    DimensionError,
+from frame_partition import ArgumentError, NormViolation, UnitVectorSequence, gram
+from frame_partition.errors import DimensionError, SymmetryViolation, WeightMatrixError
+from frame_partition.linalg import (
     GramMatrix,
-    NormViolation,
-    SymmetryViolation,
-    UnitVectorSequence,
     WeightMatrix,
-    WeightMatrixError,
     analysis_op,
-    gram,
     hermitian_eigenvalues,
     synthesis,
     weight_matrix,

@@ -9,24 +9,23 @@ from hypothesis.extra.numpy import arrays
 
 from frame_partition import (
     ArgumentError,
-    TooLargeForOracle,
     UnitVectorSequence,
-    WeightMatrix,
-    WeightMatrixError,
-    brute_force_bipartition,
     eta,
     feichtinger_partition,
     gram,
+    sigma,
+    uniform_partition,
+)
+from frame_partition.errors import TooLargeForOracle, WeightMatrixError
+from frame_partition.generators import GeneratorSpec, generate
+from frame_partition.linalg import WeightMatrix, weight_matrix
+from frame_partition.partition import (
+    _local_search,
+    brute_force_bipartition,
     halving_partition,
     mills_bipartition,
     required_levels,
-    schur_bessel_bound,
-    sigma,
-    uniform_partition,
-    weight_matrix,
 )
-from frame_partition.generators import GeneratorSpec, generate
-from frame_partition.partition import _local_search
 
 from conftest import random_symmetric_weight
 from golden_partitions import GOLDEN_PATH, corpus_digests, weight_results
