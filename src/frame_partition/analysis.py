@@ -69,7 +69,9 @@ def _row_functionals(sub: np.ndarray) -> tuple[float, float, float]:
     return float(mag.sum(axis=0).max()), float((mag**2).sum(axis=0).max()), float(mag.max())
 
 
-def row_functionals(g: GramMatrix, block: Iterable[int] | None = None) -> tuple[float, float, float]:
+def row_functionals(
+    g: GramMatrix, block: Iterable[int] | None = None
+) -> tuple[float, float, float]:
     """(sigma, eta, gamma) over the block; all three are 0 for singletons."""
     if block is None:
         return _row_functionals(g.entries)

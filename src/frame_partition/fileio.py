@@ -349,10 +349,15 @@ def _read_text(path: Path) -> str:
 
 
 def _load_json(path: Path, what: str) -> Any:
-    """The parsed JSON document; undecodable, invalid or too deeply nested text exits 2."""
+    """The parsed JSON document; undecodable, invalid or too deeply nested text exits 2.
+
+    Besides JSONDecodeError, ``json.loads`` raises ValueError for an integer
+    literal longer than Python's int-to-string digit limit.
+    """
+    text = _read_text(path)
     try:
-        return json.loads(_read_text(path))
-    except (json.JSONDecodeError, RecursionError) as exc:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise ArgumentError(f"invalid JSON in {what}{path}: {exc}") from exc
 
 

@@ -166,6 +166,8 @@ MALFORMED_VECTOR_FILES = [
     ("not_utf8.json", b"\xff\xfe"),
     ("not_utf8.csv", b"dim,field,count\n1,real,1\n\xff\n"),
     ("deep_nesting.json", "[" * 100_000 + "]" * 100_000),
+    # longer than the int-to-string digit limit: json.loads raises a plain ValueError
+    ("long_int_literal.json", _vector_doc("real", 1, [[0]]).replace("0", "1" * 5000)),
 ]
 
 
@@ -205,8 +207,11 @@ class TestCertify:
         assert run("certify", str(vec), str(rep)) == 0
         assert "FAIL" not in capsys.readouterr().out
 
-    @pytest.mark.parametrize("data", [b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000],
-                             ids=["not_utf8", "deep_nesting"])
+    @pytest.mark.parametrize("data", [
+        pytest.param(b"\xff\xfe", id="not_utf8"),
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, id="deep_nesting"),
+        pytest.param(b'{"levels": ' + b"1" * 5000 + b"}", id="long_int_literal"),
+    ])
     def test_unreadable_report_exit_2(self, tmp_path, capsys, data):
         vec, rep = self.make_pair(tmp_path)
         rep.write_bytes(data)
