@@ -348,26 +348,26 @@ def _read_text(path: Path) -> str:
         raise ArgumentError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _load_json(path: Path, what: str) -> Any:
-    """The parsed JSON document; undecodable, invalid or too deeply nested text exits 2.
+def _parse_json(text: str, source: str) -> Any:
+    """The JSON document in ``text``; invalid or too deeply nested text exits 2.
 
     Besides JSONDecodeError, ``json.loads`` raises ValueError for an integer
     literal longer than Python's int-to-string digit limit.
     """
-    text = _read_text(path)
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise ArgumentError(f"invalid JSON in {what}{path}: {exc}") from exc
+        raise ArgumentError(f"invalid JSON in {source}: {exc}") from exc
 
 
 def read_vectors(path: str | Path, fmt: str | None = None) -> UnitVectorSequence:
     path = Path(path)
     fmt = fmt or path.suffix.lstrip(".").lower()
+    text = _read_text(path)
     if fmt == "json":
-        return _parse_json_vectors(_load_json(path, ""))
+        return _parse_json_vectors(_parse_json(text, str(path)))
     if fmt == "csv":
-        return _parse_csv_vectors(_read_text(path))
+        return _parse_csv_vectors(text)
     raise ArgumentError(f"unknown vector file format {fmt!r} (use json or csv)")
 
 
@@ -419,7 +419,7 @@ def write_report(path: str | Path, report: dict[str, Any]) -> None:
 
 
 def read_report(path: str | Path) -> dict[str, Any]:
-    report = _load_json(Path(path), "report ")
+    report = _parse_json(_read_text(Path(path)), f"report {path}")
     try:
         _validate_report(report)
     except ValidationError as exc:
