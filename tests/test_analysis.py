@@ -14,8 +14,8 @@ from frame_partition import (
 )
 from frame_partition.analysis import block_stats, block_verdict, verify_riesz_inequality
 from frame_partition.errors import EmptyBlockError
-from frame_partition.linalg import GramMatrix, hermitian_eigenvalues
 from frame_partition.generators import GeneratorSpec, generate
+from frame_partition.linalg import GramMatrix, hermitian_eigenvalues
 
 
 def pair_gram(offdiag):

@@ -3,6 +3,7 @@ import pytest
 
 from frame_partition import ArgumentError, NormViolation, UnitVectorSequence, gram
 from frame_partition.errors import DimensionError, SymmetryViolation, WeightMatrixError
+from frame_partition.generators import GeneratorSpec, generate
 from frame_partition.linalg import (
     GramMatrix,
     WeightMatrix,
@@ -11,7 +12,6 @@ from frame_partition.linalg import (
     synthesis,
     weight_matrix,
 )
-from frame_partition.generators import GeneratorSpec, generate
 
 
 def seq_from(rows, **kw):
