@@ -218,10 +218,10 @@ def halving_plan(b: float) -> tuple[int, bool]:
     """``(levels, on_breakpoint)`` of the halving for the Bessel constant B.
 
     ``levels`` is required_levels(B + LEVEL_SAFETY), so a non-finite B or
-    one below 1 - LEVEL_SAFETY raises ArgumentError.  ``on_breakpoint`` says
-    whether B is within BREAKPOINT_TOL of some 1 + 2^k; only k = levels - 1
-    can be, or k = levels where 1 + 2^k rounds down (2^53: LEVEL_SAFETY is
-    below its half-ulp).
+    one below 1 - LEVEL_SAFETY raises ArgumentError.  ``on_breakpoint`` is
+    true when B is within BREAKPOINT_TOL of some 1 + 2^k.  Only k = levels - 1
+    can match, except at B = 2^53 = fl(1 + 2^53), where B + LEVEL_SAFETY - 1
+    rounds to 2^53 - 1 and k = levels.
     """
     m = required_levels(b + LEVEL_SAFETY)
     on_breakpoint = any(

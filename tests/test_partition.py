@@ -20,9 +20,12 @@ from frame_partition.errors import TooLargeForOracle, WeightMatrixError
 from frame_partition.generators import GeneratorSpec, generate
 from frame_partition.linalg import WeightMatrix, weight_matrix
 from frame_partition.partition import (
+    BREAKPOINT_TOL,
+    LEVEL_SAFETY,
     _local_search,
     brute_force_bipartition,
     halving_partition,
+    halving_plan,
     mills_bipartition,
     required_levels,
 )
@@ -186,6 +189,27 @@ class TestRequiredLevels:
     def test_below_one(self):
         with pytest.raises(ArgumentError):
             required_levels(0.5)
+
+
+def reference_on_breakpoint(b):
+    """B within BREAKPOINT_TOL of 1 + 2^k for some k, by scanning every k with 2^k <= B."""
+    return any(abs(b - (1.0 + 2.0**k)) <= BREAKPOINT_TOL for k in range(1024) if 2.0**k <= b)
+
+
+class TestHalvingPlan:
+    def test_matches_full_breakpoint_scan(self):
+        values = [1.0, 1.0 + 1e-12, 1.5, 1e308, 2.0**53 + 2.0]
+        for k in [*range(0, 1024, 7), 52, 53, 54, 1023]:
+            c = 1.0 + 2.0**k
+            values += [c, c - 5e-13, c + 5e-13, c - 2e-12, c + 2e-12]
+            values += [math.nextafter(c, 0.0), math.nextafter(c, math.inf)]
+        for b in values:
+            assert halving_plan(b) == (required_levels(b + LEVEL_SAFETY), reference_on_breakpoint(b))
+
+    @pytest.mark.parametrize("b", [math.nan, math.inf, 0.5])
+    def test_invalid_bessel_constant(self, b):
+        with pytest.raises(ArgumentError):
+            halving_plan(b)
 
 
 class TestBruteForceOracle:
