@@ -378,6 +378,28 @@ class TestCertify:
         assert "block 1 " in out and "FAIL" in out
         assert "  borderline: reported True, recomputed False" in out.splitlines()
 
+    @pytest.mark.parametrize("key, tol", [
+        ("sigma", None), ("eta", None), ("gamma", None), ("lambda_min", None),
+        ("lambda_max", None), ("certified", None), ("borderline", None),
+        # a flipped flag fails whatever the tolerance
+        ("certified", "2"), ("borderline", "2"),
+    ])
+    def test_edited_block_field_line(self, tmp_path, capsys, key, tol):
+        vec, rep = self.make_pair(tmp_path)
+        report = json.loads(rep.read_text())
+        block = report["blocks"][0]
+        recomputed = block[key]
+        block[key] = not recomputed if type(recomputed) is bool else recomputed + 0.25
+        rep.write_text(json.dumps(report))
+        capsys.readouterr()
+        argv = ("certify", str(vec), str(rep)) + (("--tol", tol) if tol else ())
+        assert run(*argv) == 5
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"block 0 {block['indices']}: FAIL"
+        assert [line for line in out if line.startswith("  ")] == [
+            f"  {key}: reported {block[key]!r}, recomputed {recomputed!r}"
+        ]
+
     def test_loose_tolerance_lets_small_edits_pass(self, tmp_path):
         vec, rep = self.make_pair(tmp_path)
         report = json.loads(rep.read_text())
