@@ -1,4 +1,4 @@
-"""Scalar functionals of a Gram matrix and the spectral Riesz certificate.
+"""Scalar functionals of a Gram matrix and the per-block certificate.
 
 The three row functionals on an index block:
 
@@ -18,7 +18,7 @@ row sums + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -39,17 +39,6 @@ def normalize_block(n: int, block: Iterable[int] | None) -> np.ndarray:
     if idx[0] < 0 or idx[-1] >= n:
         raise ArgumentError(f"block indices out of range for n={n}: {idx.tolist()}")
     return idx
-
-
-@dataclass(frozen=True)
-class RieszCertificate:
-    sigma: float
-    lambda_min: float
-    lambda_max: float
-    certified: bool
-    a_bound: float  # 1 - sigma, the guaranteed lower Riesz bound when certified
-    b_bound: float  # 1 + sigma
-    borderline: bool = False
 
 
 def spectral_bessel_bound(g: GramMatrix) -> float:
@@ -95,25 +84,27 @@ def separation_constant(g: GramMatrix, block: Iterable[int] | None = None) -> fl
 
 
 @dataclass(frozen=True)
-class BlockStats:
+class BlockCertificate:
+    """One block's numbers and verdict; the fields are the report's block keys, in order."""
+
+    indices: tuple[int, ...]
     sigma: float
     eta: float
     gamma: float
     lambda_min: float
     lambda_max: float
+    certified: bool  # the mode's verdict (block_verdict)
+    borderline: bool
 
+    @property
+    def a_bound(self) -> float:
+        """1 - sigma, the guaranteed lower Riesz bound when sigma < 1."""
+        return 1.0 - self.sigma
 
-def block_stats(g: GramMatrix, idx: np.ndarray) -> BlockStats:
-    """sigma, eta, gamma and the extreme eigenvalues of one block.
-
-    ``idx`` must hold sorted, distinct, in-range indices (a partition block
-    or a normalized block); it is not re-checked.  The submatrix of a
-    ``GramMatrix`` is Hermitian by construction, so the spectrum is taken
-    without a re-check.
-    """
-    sub = g.entries.take(idx, axis=0).take(idx, axis=1)  # g.entries[np.ix_(idx, idx)]
-    eigs = np.linalg.eigvalsh(sub)
-    return BlockStats(*_row_functionals(sub), lambda_min=float(eigs[0]), lambda_max=float(eigs[-1]))
+    @property
+    def b_bound(self) -> float:
+        """1 + sigma, the Riesz upper bound."""
+        return 1.0 + self.sigma
 
 
 def block_verdict(mode: str, sigma: float, eta: float) -> tuple[bool, bool]:
@@ -128,29 +119,33 @@ def block_verdict(mode: str, sigma: float, eta: float) -> tuple[bool, bool]:
     return (sigma if mode == "feichtinger" else eta) < 1.0, borderline
 
 
-def riesz_certificate(g: GramMatrix, block: Iterable[int] | None = None) -> RieszCertificate:
-    """Certificate for the block: sigma, block spectrum, and the verdict.
+def certify_block(g: GramMatrix, idx: Sequence[int], mode: str) -> BlockCertificate:
+    """sigma, eta, gamma, the extreme eigenvalues and the ``mode`` verdict of one block.
 
-    Certification is the raw comparison sigma < 1; no hidden margin is
-    applied.  sigma within BORDERLINE_TOL below 1 is certified but flagged.
-    Uncertified blocks still carry the spectral pair: lambda_min > 0 means
-    spectrally Riesz even though the sigma criterion does not apply.
+    ``idx`` must hold sorted, distinct, in-range indices (a partition block
+    or a normalized block); it is not re-checked.  The submatrix of a
+    ``GramMatrix`` is Hermitian by construction, so the spectrum is taken
+    without a re-check.
     """
-    return riesz_from_stats(block_stats(g, normalize_block(g.n, block)))
-
-
-def riesz_from_stats(stats: BlockStats) -> RieszCertificate:
-    """The Riesz certificate carried by a block's statistics."""
-    certified, borderline = block_verdict("feichtinger", stats.sigma, stats.eta)
-    return RieszCertificate(
-        sigma=stats.sigma,
-        lambda_min=stats.lambda_min,
-        lambda_max=stats.lambda_max,
-        certified=certified,
-        a_bound=1.0 - stats.sigma,
-        b_bound=1.0 + stats.sigma,
-        borderline=borderline,
+    idx = np.asarray(idx, dtype=int)
+    sub = g.entries.take(idx, axis=0).take(idx, axis=1)  # g.entries[np.ix_(idx, idx)]
+    eigs = np.linalg.eigvalsh(sub)
+    s, e, gamma = _row_functionals(sub)
+    certified, borderline = block_verdict(mode, s, e)
+    return BlockCertificate(
+        tuple(idx.tolist()), s, e, gamma, float(eigs[0]), float(eigs[-1]), certified, borderline
     )
+
+
+def riesz_certificate(g: GramMatrix, block: Iterable[int] | None = None) -> BlockCertificate:
+    """The block's certificate under the Riesz criterion sigma < 1.
+
+    No hidden margin is applied; sigma within BORDERLINE_TOL below 1 is
+    certified but flagged.  Uncertified blocks still carry the spectral
+    pair: lambda_min > 0 means spectrally Riesz even though the sigma
+    criterion does not apply.
+    """
+    return certify_block(g, normalize_block(g.n, block), "feichtinger")
 
 
 def verify_riesz_inequality(

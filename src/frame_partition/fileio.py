@@ -112,7 +112,8 @@ _REPORT_VALIDATOR = Draft202012Validator(CERTIFICATE_SCHEMA)
 _BLOCK_SCHEMA = CERTIFICATE_SCHEMA["properties"]["blocks"]["items"]
 _REPORT_KEYS = frozenset(CERTIFICATE_SCHEMA["required"])
 _BOUND_KEYS = frozenset(CERTIFICATE_SCHEMA["properties"]["global_bounds"]["required"])
-_BLOCK_KEYS = frozenset(_BLOCK_SCHEMA["required"])
+_BLOCK_FIELDS = _BLOCK_SCHEMA["required"]  # analysis.BlockCertificate's fields, in order
+_BLOCK_KEYS = frozenset(_BLOCK_FIELDS)
 _BLOCK_NUMBERS = [k for k, v in _BLOCK_SCHEMA["properties"].items() if v.get("type") == "number"]
 _DIGEST = re.compile(CERTIFICATE_SCHEMA["properties"]["input_digest"]["pattern"])
 _MODES = CERTIFICATE_SCHEMA["properties"]["mode"]["enum"]
@@ -394,16 +395,7 @@ def build_report(
         "levels": cert.partition.levels,
         "target": cert.target,
         "blocks": [
-            {
-                "indices": list(bc.indices),
-                "sigma": bc.sigma,
-                "eta": bc.eta,
-                "gamma": bc.gamma,
-                "lambda_min": bc.riesz.lambda_min,
-                "lambda_max": bc.riesz.lambda_max,
-                "certified": bc.certified,
-                "borderline": bc.borderline,
-            }
+            {key: getattr(bc, key) for key in _BLOCK_FIELDS} | {"indices": list(bc.indices)}
             for bc in cert.per_block
         ],
         "all_certified": cert.all_certified,
@@ -451,29 +443,32 @@ def recertify(
             f"report blocks do not cover the input index set 0..{seq.n - 1}"
         )
     g = gram(seq)
-    mode = report["mode"]
+    records = [analysis.certify_block(g, sorted(block), report["mode"]) for block in blocks]
     results = []
-    verdicts = []
-    lambda_max = 0.0
-    for pos, (block, reported) in enumerate(zip(blocks, report["blocks"])):
-        stats = analysis.block_stats(g, np.array(sorted(block), dtype=int))
-        lambda_max = max(lambda_max, stats.lambda_max)
-        # written so that a NaN in the report fails
+    for pos, (block, reported, bc) in enumerate(zip(blocks, report["blocks"], records)):
         failures = [
-            f"{key}: reported {reported[key]!r}, recomputed {value!r}"
-            for key, value in vars(stats).items()
-            if not abs(reported[key] - value) <= tol
+            f"{key}: reported {reported[key]!r}, recomputed {getattr(bc, key)!r}"
+            for key in _BLOCK_FIELDS[1:]  # all but indices
+            if _differs(reported[key], getattr(bc, key), tol)
         ]
-        verdict = analysis.block_verdict(mode, stats.sigma, stats.eta)
-        verdicts.append(verdict)
-        for key, value in zip(("certified", "borderline"), verdict):
-            if reported[key] != value:
-                failures.append(f"{key}: reported {reported[key]}, recomputed {value}")
         results.append(
             {"block": pos, "indices": list(block), "passed": not failures, "failures": failures}
         )
-    schur_b = analysis.schur_bessel_bound(g)
-    return results, _claim_failures(report, schur_b, lambda_max, verdicts, tol)
+    return results, _claim_failures(report, analysis.schur_bessel_bound(g), records, tol)
+
+
+def _differs(reported: Any, value: float | bool, tol: float) -> bool:
+    """Whether a report value fails against the recomputed one.
+
+    A flag fails when unequal, at any ``tol``.  A number fails unless within
+    ``tol``: a NaN fails, and so does a JSON integer beyond float range.
+    """
+    if type(value) is bool:
+        return reported != value
+    try:
+        return not abs(reported - value) <= tol
+    except OverflowError:
+        return True
 
 
 # Round-off allowed, relative to schur_B, in lambda_max(block) <= spectral_B
@@ -484,8 +479,7 @@ SPECTRAL_ROUNDOFF = 1e-12
 def _claim_failures(
     report: dict[str, Any],
     schur_b: float,
-    lambda_max: float,
-    verdicts: list[tuple[bool, bool]],
+    records: list[analysis.BlockCertificate],
     tol: float,
 ) -> list[str]:
     """The report's global claims that do not hold, one line each.
@@ -497,12 +491,13 @@ def _claim_failures(
     ``bessel_B_used`` must be at least the mode's bound, and ``levels`` and
     ``target`` must be what the halving derives from it; the report may hold
     at most 2^levels blocks.  ``all_certified`` and ``borderline`` must match
-    the recomputed block ``verdicts`` (and, for ``borderline``, whether B
+    the recomputed block ``records`` (and, for ``borderline``, whether B
     sits on a power-of-two breakpoint).
     """
     bounds = report["global_bounds"]
+    lambda_max = max(bc.lambda_max for bc in records)
     failures = []
-    if not abs(bounds["schur_B"] - schur_b) <= tol:
+    if _differs(bounds["schur_B"], schur_b, tol):
         failures.append(f"schur_B: reported {bounds['schur_B']!r}, recomputed {schur_b!r}")
     slack = tol + SPECTRAL_ROUNDOFF * schur_b
     if not lambda_max - slack <= bounds["spectral_B"] <= schur_b + slack:
@@ -515,7 +510,7 @@ def _claim_failures(
     levels = int(report["levels"])
     try:
         plan = halving_plan(b) if b >= mode_b - tol else None
-    except ArgumentError:  # B is not a finite number >= 1
+    except (ArgumentError, OverflowError):  # B or the bound is not a finite number >= 1
         plan = None
     if plan is None:
         failures.append(
@@ -526,18 +521,18 @@ def _claim_failures(
         if levels != required:
             failures.append(f"levels: reported {levels}, required {required} for B={b!r}")
         target = math.ldexp(b - 1.0, -levels)
-        if not abs(report["target"] - target) <= tol:
+        if _differs(report["target"], target, tol):
             failures.append(f"target: reported {report['target']!r}, recomputed {target!r}")
     # len(blocks) <= 2**levels, without building 2**levels
     if (len(report["blocks"]) - 1).bit_length() > levels:
         failures.append(f"blocks: {len(report['blocks'])} blocks exceed 2^{levels}")
-    all_certified = all(certified for certified, _ in verdicts)
+    all_certified = all(bc.certified for bc in records)
     if report["all_certified"] != all_certified:
         failures.append(
             f"all_certified: reported {report['all_certified']}, recomputed {all_certified}"
         )
     if plan is not None:
-        borderline = on_breakpoint or any(flag for _, flag in verdicts)
+        borderline = on_breakpoint or any(bc.borderline for bc in records)
         if report["borderline"] != borderline:
             failures.append(
                 f"borderline: reported {report['borderline']}, recomputed {borderline}"

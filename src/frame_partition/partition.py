@@ -26,16 +26,14 @@ from typing import Iterable
 import numpy as np
 
 from .analysis import (
-    RieszCertificate,
-    block_stats,
-    block_verdict,
+    BlockCertificate,
+    certify_block,
     normalize_block,
-    riesz_from_stats,
     schur_bessel_bound,
     spectral_bessel_bound,
 )
 from .errors import ArgumentError, TooLargeForOracle, WeightMatrixError
-from .linalg import GramMatrix, UnitVectorSequence, WeightMatrix, gram, weight_matrix
+from .linalg import UnitVectorSequence, WeightMatrix, gram, weight_matrix
 
 MODES = ("feichtinger", "uniform")
 
@@ -66,26 +64,15 @@ class Partition:
         for block in self.blocks:
             if len(block) == 0:
                 raise ArgumentError("empty blocks must be dropped before construction")
-            if seen.intersection(block):
-                raise ArgumentError("partition blocks are not disjoint")
             seen.update(block)
+        if sum(map(len, self.blocks)) != len(seen):
+            raise ArgumentError("partition blocks overlap or repeat an index")
         if seen != set(range(self.n)):
             raise ArgumentError("partition blocks do not cover the index set")
         if self.levels < 0:
             raise ArgumentError("levels must be >= 0")
         if len(self.blocks) > 2**self.levels:
             raise ArgumentError("more blocks than 2^levels")
-
-
-@dataclass(frozen=True)
-class BlockCertificate:
-    indices: tuple[int, ...]
-    sigma: float
-    eta: float
-    gamma: float
-    riesz: RieszCertificate
-    certified: bool  # the mode's verdict (analysis.block_verdict)
-    borderline: bool
 
 
 @dataclass(frozen=True)
@@ -262,20 +249,6 @@ def brute_force_bipartition(
     return first, second, best_val
 
 
-def _certify_block(g: GramMatrix, block: tuple[int, ...], mode: str) -> BlockCertificate:
-    stats = block_stats(g, np.array(block))
-    certified, borderline = block_verdict(mode, stats.sigma, stats.eta)
-    return BlockCertificate(
-        indices=block,
-        sigma=stats.sigma,
-        eta=stats.eta,
-        gamma=stats.gamma,
-        riesz=riesz_from_stats(stats),
-        certified=certified,
-        borderline=borderline,
-    )
-
-
 def _certified_partition(
     seq: UnitVectorSequence,
     mode: str,
@@ -296,7 +269,7 @@ def _certified_partition(
     m, on_breakpoint = halving_plan(b)
     power = 1 if mode == "feichtinger" else 2
     part = halving_partition(weight_matrix(g, power), m)
-    per_block = tuple(_certify_block(g, blk, mode) for blk in part.blocks)
+    per_block = tuple(certify_block(g, blk, mode) for blk in part.blocks)
     return PartitionCertificate(
         partition=part,
         mode=mode,

@@ -123,7 +123,7 @@ def test_criterion_5_feichtinger_end_to_end(corpus, tmp_path):
         assert len(cert.partition.blocks) <= 2 ** required_levels(cert.schur_bound)
         for bc in cert.per_block:
             assert bc.sigma < 1.0
-            assert bc.riesz.lambda_min >= 1.0 - bc.sigma - 1e-8
+            assert bc.lambda_min >= 1.0 - bc.sigma - 1e-8
         vec = tmp_path / "v.json"
         rep = tmp_path / "r.json"
         write_vectors(vec, seq)
@@ -155,8 +155,8 @@ def test_criterion_7_exact_small_cases():
     assert cert.partition.blocks == ((0, 1, 2, 3),)
     bc = cert.per_block[0]
     assert bc.sigma == 0.0 and bc.eta == 0.0 and bc.gamma == 0.0
-    assert abs(bc.riesz.lambda_min - 1.0) <= 1e-12
-    assert abs(bc.riesz.lambda_max - 1.0) <= 1e-12
+    assert abs(bc.lambda_min - 1.0) <= 1e-12
+    assert abs(bc.lambda_max - 1.0) <= 1e-12
 
     # duplicate pair: gamma 1, spectrum (0, 2), forced split
     pair = generate(GeneratorSpec("duplicates", dim=2, multiplicity=2))

@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from frame_partition import (
+    CERTIFICATE_SCHEMA,
     ArgumentError,
     UnitVectorSequence,
     eta,
@@ -12,7 +15,12 @@ from frame_partition import (
     sigma,
     spectral_bessel_bound,
 )
-from frame_partition.analysis import block_stats, block_verdict, verify_riesz_inequality
+from frame_partition.analysis import (
+    BlockCertificate,
+    block_verdict,
+    certify_block,
+    verify_riesz_inequality,
+)
 from frame_partition.errors import EmptyBlockError
 from frame_partition.generators import GeneratorSpec, generate
 from frame_partition.linalg import GramMatrix, hermitian_eigenvalues
@@ -133,11 +141,17 @@ class TestBlockStats:
             g = random_gram(seed, dim=4, count=12, field=field)
             idx = np.sort(rng.choice(12, size=rng.integers(1, 13), replace=False))
             eigs = hermitian_eigenvalues(g.submatrix(idx))
-            stats = block_stats(g, idx)
+            bc = certify_block(g, idx, "uniform")
             expected = reference_row_functionals(g, idx)
-            assert (stats.sigma, stats.eta, stats.gamma) == expected
+            assert bc.indices == tuple(idx.tolist())
+            assert (bc.sigma, bc.eta, bc.gamma) == expected
             assert (sigma(g, idx), eta(g, idx), separation_constant(g, idx)) == expected
-            assert (stats.lambda_min, stats.lambda_max) == (eigs[0], eigs[-1])
+            assert (bc.lambda_min, bc.lambda_max) == (eigs[0], eigs[-1])
+            assert (bc.certified, bc.borderline) == block_verdict("uniform", bc.sigma, bc.eta)
+
+    def test_fields_are_the_report_block_keys(self):
+        block_keys = CERTIFICATE_SCHEMA["properties"]["blocks"]["items"]["required"]
+        assert [f.name for f in fields(BlockCertificate)] == block_keys
 
     @pytest.mark.parametrize("s, e, feichtinger, uniform, borderline", [
         (0.5, 0.9, True, True, False),

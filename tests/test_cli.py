@@ -278,6 +278,17 @@ class TestCertify:
         # spectral_B = 0.5 is also below every block's lambda_max (>= 1 for unit vectors)
         pytest.param("uniform", {"spectral_B": 0.5, "bessel_B_used": 0.5},
                      ["spectral_B", "bessel_B_used"], id="B_below_one"),
+        # JSON integers beyond float range
+        pytest.param("feichtinger", {"target": 10**400}, ["target"], id="huge_int_target"),
+        pytest.param("feichtinger", {"schur_B": 10**400}, ["schur_B"], id="huge_int_schur_B"),
+        pytest.param("feichtinger", {"bessel_B_used": 10**400}, ["bessel_B_used"],
+                     id="huge_int_B"),
+        pytest.param("feichtinger", {"spectral_B": 10**400}, ["spectral_B"],
+                     id="huge_int_spectral_B"),
+        # the uniform mode's bound is the reported spectral_B, which B is now below
+        pytest.param("uniform", {"spectral_B": 10**400}, ["spectral_B", "bessel_B_used"],
+                     id="huge_int_uniform_spectral_B"),
+        pytest.param("uniform", {"levels": 10**400}, ["levels", "target"], id="huge_int_levels"),
     ])
     def test_false_global_claim_fails(self, tmp_path, capsys, mode, edit, claims):
         vec, rep = self.make_pair(tmp_path, mode=mode)
@@ -398,6 +409,21 @@ class TestCertify:
         assert out[0] == f"block 0 {block['indices']}: FAIL"
         assert [line for line in out if line.startswith("  ")] == [
             f"  {key}: reported {block[key]!r}, recomputed {recomputed!r}"
+        ]
+
+    def test_huge_int_block_value_fails(self, tmp_path, capsys):
+        vec, rep = self.make_pair(tmp_path)
+        report = json.loads(rep.read_text())
+        recomputed = report["blocks"][0]["sigma"]
+        report["blocks"][0]["sigma"] = 10**400
+        rep.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run("certify", str(vec), str(rep)) == 5
+        failures = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line
+                    or line.startswith("  ")]
+        assert failures == [
+            f"block 0 {report['blocks'][0]['indices']}: FAIL",
+            f"  sigma: reported {10**400}, recomputed {recomputed!r}",
         ]
 
     def test_loose_tolerance_lets_small_edits_pass(self, tmp_path):

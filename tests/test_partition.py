@@ -22,6 +22,7 @@ from frame_partition.linalg import WeightMatrix, weight_matrix
 from frame_partition.partition import (
     BREAKPOINT_TOL,
     LEVEL_SAFETY,
+    Partition,
     _local_search,
     brute_force_bipartition,
     halving_partition,
@@ -171,6 +172,11 @@ class TestHalvingPartition:
         assert part.blocks == ((0,),)
         assert part.levels == 3
 
+    @pytest.mark.parametrize("blocks", [((0, 1, 0),), ((0, 1), (1,)), ((0,), (0, 1))])
+    def test_partition_rejects_a_repeated_index(self, blocks):
+        with pytest.raises(ArgumentError, match="overlap or repeat an index"):
+            Partition(n=2, blocks=blocks, levels=1)
+
 
 class TestRequiredLevels:
     def test_b_equal_one(self):
@@ -274,7 +280,7 @@ class TestFeichtingerPartition:
         assert cert.all_certified
         for bc in cert.per_block:
             assert bc.sigma < 1.0
-            assert bc.riesz.lambda_min >= 1.0 - bc.sigma - 1e-8
+            assert bc.lambda_min >= 1.0 - bc.sigma - 1e-8
 
     def test_duplicates_never_share_certified_block(self):
         seq = generate(GeneratorSpec("duplicates", dim=3, multiplicity=5))
