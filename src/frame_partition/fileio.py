@@ -509,10 +509,16 @@ def _claim_failures(
     mode_b = schur_b if report["mode"] == "feichtinger" else bounds["spectral_B"]
     levels = int(report["levels"])
     try:
-        plan = halving_plan(b) if b >= mode_b - tol else None
-    except (ArgumentError, OverflowError):  # B or the bound is not a finite number >= 1
+        finite = math.isfinite(b)
+    except OverflowError:  # a JSON integer beyond float range
+        finite = False
+    try:
+        plan = halving_plan(b) if finite and b >= mode_b - tol else None
+    except (ArgumentError, OverflowError):  # B below 1, or the bound beyond float range
         plan = None
-    if plan is None:
+    if not finite:
+        failures.append(f"bessel_B_used: reported {b!r}, not a finite number")
+    elif plan is None:
         failures.append(
             f"bessel_B_used: reported {b!r}, not >= 1 and the {report['mode']} bound {mode_b!r}"
         )

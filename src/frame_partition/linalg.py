@@ -80,6 +80,12 @@ class UnitVectorSequence:
         if field is None:
             field = "real" if np.all(v.imag == 0.0) else "complex"
         if renormalize:
+            # Bring each row's largest real or imaginary part into [0.5, 1)
+            # by an exact power-of-two scaling, so that the norm of a finite
+            # nonzero row neither overflows nor underflows to zero.
+            parts = v.view(np.float64)
+            _, e = np.frexp(np.abs(parts).max(axis=1, initial=0.0))
+            v = np.ldexp(parts, -e[:, None]).view(np.complex128)
             norms = np.linalg.norm(v, axis=1)
             zero = np.nonzero(norms == 0.0)[0]
             if zero.size:

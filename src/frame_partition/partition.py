@@ -107,18 +107,23 @@ def _local_search(sub: np.ndarray) -> tuple[np.ndarray, int]:
     terminates.  Naive float sums can round an exact tie upward and
     oscillate forever on symmetric inputs.
 
-    Running float sums, updated in O(k) per move and recomputed every k
-    moves to bound drift, only pick the candidates: their error stays far
-    below the 1e-9 relative margin, so every exact violator is a candidate
-    and the move sequence is the one a full fsum scan from index 0 makes.
-    The update relies on ``sub`` being a weight block: symmetric with a
-    zero diagonal.
+    Running float sums decide everything outside a band of 1e-9 * row
+    around half the row sum.  They are updated in O(k) per move (``sign``
+    is +1 on the first part and -1 on the second, and multiplying by +-1
+    is exact) and recomputed every k moves, so between refreshes they
+    drift from the exact sums by at most about k * eps * row, which is
+    <= 5e-13 * row at k = 2048 and far inside the band.  A running sum
+    above the band is therefore an exact violator, one at or below it is
+    not, and only an index inside the band needs the fsum test.  The move
+    sequence is the one a full fsum scan from index 0 makes.  The update
+    relies on ``sub`` being a weight block: symmetric with a zero diagonal.
     """
     k = sub.shape[0]
-    row = np.array([math.fsum(col) for col in sub.T.tolist()])
-    half = 0.5 * row
-    threshold = half - 1e-9 * row
+    row = sub.sum(axis=0)
+    low = 0.5 * row - 1e-9 * row
+    high = 0.5 * row + 1e-9 * row
     in_first = np.ones(k, dtype=bool)
+    sign = np.ones(k)
     moves = 0
     until_refresh = 0
     while True:
@@ -126,15 +131,18 @@ def _local_search(sub: np.ndarray) -> tuple[np.ndarray, int]:
             f = in_first.astype(np.float64)
             within = np.where(in_first, f @ sub, (1.0 - f) @ sub)
             until_refresh = k
-        for j in (within > threshold).nonzero()[0]:
+        for j in (within > low).nonzero()[0]:
+            if within[j] > high[j]:
+                break
             same_part = in_first == in_first[j]
-            if math.fsum(sub[same_part, j].tolist()) > half[j]:
+            if math.fsum(sub[same_part, j].tolist()) > 0.5 * math.fsum(sub[:, j].tolist()):
                 break
         else:
             return in_first, moves
         in_first[j] = not in_first[j]
+        sign[j] = -sign[j]
         moved_from = within[j]
-        within += np.where(in_first == in_first[j], sub[j], -sub[j])
+        within += (sign[j] * sign) * sub[j]
         within[j] = row[j] - moved_from
         moves += 1
         until_refresh -= 1

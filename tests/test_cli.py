@@ -310,6 +310,34 @@ class TestCertify:
         lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("claim")]
         assert [line.split()[2].rstrip(":") for line in lines] == claims
 
+    @pytest.mark.parametrize("b, shown", [
+        pytest.param(float("inf"), "inf", id="inf"),
+        pytest.param(10**400, str(10**400), id="huge_int"),
+    ])
+    def test_non_finite_bessel_constant_line(self, tmp_path, capsys, b, shown):
+        vec, rep = self.make_pair(tmp_path)
+        report = json.loads(rep.read_text())
+        report["global_bounds"]["bessel_B_used"] = b
+        rep.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run("certify", str(vec), str(rep)) == 5
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("claim")]
+        assert lines == [f"claim FAIL: bessel_B_used: reported {shown}, not a finite number"]
+
+    def test_bessel_constant_below_bound_line(self, tmp_path, capsys):
+        vec, rep = self.make_pair(tmp_path)
+        report = json.loads(rep.read_text())
+        bounds = report["global_bounds"]
+        bounds["bessel_B_used"] /= 2
+        rep.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run("certify", str(vec), str(rep)) == 5
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("claim")]
+        assert lines == [
+            f"claim FAIL: bessel_B_used: reported {bounds['bessel_B_used']!r}, "
+            f"not >= 1 and the feichtinger bound {bounds['schur_B']!r}"
+        ]
+
     def test_repeated_index_exit_2(self, tmp_path, capsys):
         vec, rep = self.make_pair(tmp_path)
         report = json.loads(rep.read_text())

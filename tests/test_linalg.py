@@ -42,6 +42,23 @@ class TestUnitVectorSequence:
         with pytest.raises(NormViolation):
             seq_from([[0.0, 0.0]], renormalize=True)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 5e-324, 1e308])
+    def test_renormalize_huge_and_tiny_rows(self, scale):
+        seq = seq_from([[scale, scale], [1.0, 0.0]], renormalize=True)
+        np.testing.assert_allclose(seq.vectors[0], np.full(2, np.sqrt(0.5)), rtol=1e-15)
+        assert np.array_equal(seq.vectors[1], [1.0, 0.0])
+
+    def test_renormalize_rejects_zero_row_among_others(self):
+        with pytest.raises(NormViolation) as err:
+            seq_from([[1e-200, 0.0], [0.0, 0.0]], renormalize=True)
+        assert err.value.indices == (1,)
+
+    def test_renormalize_matches_plain_division(self):
+        rng = np.random.Generator(np.random.PCG64(4))
+        v = rng.standard_normal((40, 6)) + 1j * rng.standard_normal((40, 6))
+        seq = seq_from(v, renormalize=True)
+        assert np.array_equal(seq.vectors, v / np.linalg.norm(v, axis=1)[:, None])
+
     def test_real_mode_rejects_imaginary_parts(self):
         with pytest.raises(ArgumentError):
             UnitVectorSequence(np.array([[1j]]), field="real")

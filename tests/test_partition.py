@@ -18,6 +18,7 @@ from frame_partition import (
 )
 from frame_partition.errors import TooLargeForOracle, WeightMatrixError
 from frame_partition.generators import GeneratorSpec, generate
+from frame_partition import partition
 from frame_partition.linalg import WeightMatrix, weight_matrix
 from frame_partition.partition import (
     BREAKPOINT_TOL,
@@ -129,6 +130,43 @@ class TestMillsBipartition:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(tie_heavy_weights())
     def test_matches_reference_search(self, a):
+        in_first, moves = _local_search(a)
+        want_first, want_moves = reference_local_search(a)
+        assert np.array_equal(in_first, want_first)
+        assert moves == want_moves
+
+    def test_exact_tie_decided_by_fsum(self, monkeypatch):
+        # index 0 is far above half its row and moves without an fsum; then
+        # indices 1 and 2 sit exactly on half, so the exact test keeps them
+        calls = []
+        fsum = math.fsum
+
+        def counting_fsum(values):
+            calls.append(len(values))
+            return fsum(values)
+
+        clique = np.ones((3, 3)) - np.eye(3)
+        monkeypatch.setattr(partition.math, "fsum", counting_fsum)
+        in_first, moves = _local_search(clique)
+        monkeypatch.undo()
+        assert [np.flatnonzero(in_first).tolist(), np.flatnonzero(~in_first).tolist()] == [
+            [1, 2],
+            [0],
+        ]
+        assert moves == 1
+        assert calls == [2, 3, 2, 3]  # within-part and row fsums of indices 1 and 2
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_reference_search_past_refresh(self, seed):
+        # k well above the Hypothesis sizes, where the k-move refresh and the
+        # drift of the running sums come into play
+        rng = np.random.Generator(np.random.PCG64(100 + seed))
+        k = int(rng.integers(96, 161))
+        if seed % 2:
+            a = rng.choice(TIE_VALUES, size=(k, k))
+            a = np.triu(a, 1) + np.triu(a, 1).T
+        else:
+            a = random_symmetric_weight(rng, k)
         in_first, moves = _local_search(a)
         want_first, want_moves = reference_local_search(a)
         assert np.array_equal(in_first, want_first)
