@@ -108,41 +108,46 @@ def _local_search(sub: np.ndarray) -> tuple[np.ndarray, int]:
     oscillate forever on symmetric inputs.
 
     Running float sums decide everything outside a band of 1e-9 * row
-    around half the row sum.  They are updated in O(k) per move (``sign``
-    is +1 on the first part and -1 on the second, and multiplying by +-1
-    is exact) and recomputed every k moves, so between refreshes they
-    drift from the exact sums by at most about k * eps * row, which is
-    <= 5e-13 * row at k = 2048 and far inside the band.  A running sum
-    above the band is therefore an exact violator, one at or below it is
-    not, and only an index inside the band needs the fsum test.  The move
-    sequence is the one a full fsum scan from index 0 makes.  The update
-    relies on ``sub`` being a weight block: symmetric with a zero diagonal.
+    around half the row sum.  A move of j adds or subtracts ``sign * sub[j]``
+    in O(k) (``sign`` is +1 on the first part and -1 on the second, and
+    multiplying by +-1 is exact), and every k moves the sums are computed
+    afresh, so between refreshes they drift from the exact sums by at most
+    about k * eps * row, which is <= 5e-13 * row at k = 2048 and far inside
+    the band.  A running sum above the band is therefore an exact violator,
+    one at or below it is not, and only an index inside the band needs the
+    fsum test.  The move sequence is the one a full fsum scan from index 0
+    makes.  The update relies on ``sub`` being a weight block: symmetric
+    with a zero diagonal.
     """
     k = sub.shape[0]
     row = sub.sum(axis=0)
-    low = 0.5 * row - 1e-9 * row
-    high = 0.5 * row + 1e-9 * row
-    in_first = np.ones(k, dtype=bool)
-    sign = np.ones(k)
+    half, margin = 0.5 * row, 1e-9 * row
+    low, high = half - margin, half + margin
+    sign = np.ones(k)  # +1 on the first part, -1 on the second
+    step = np.empty(k)
     moves = 0
     until_refresh = 0
     while True:
         if until_refresh == 0:
+            in_first = sign > 0
             f = in_first.astype(np.float64)
             within = np.where(in_first, f @ sub, (1.0 - f) @ sub)
             until_refresh = k
-        for j in (within > low).nonzero()[0]:
+        for j in (within > low).nonzero()[0].tolist():
             if within[j] > high[j]:
                 break
-            same_part = in_first == in_first[j]
+            same_part = sign == sign[j]
             if math.fsum(sub[same_part, j].tolist()) > 0.5 * math.fsum(sub[:, j].tolist()):
                 break
         else:
-            return in_first, moves
-        in_first[j] = not in_first[j]
-        sign[j] = -sign[j]
+            return sign > 0, moves
+        sign[j] = s = -sign[j]
         moved_from = within[j]
-        within += (sign[j] * sign) * sub[j]
+        np.multiply(sign, sub[j], out=step)
+        if s > 0:
+            within += step
+        else:
+            within -= step
         within[j] = row[j] - moved_from
         moves += 1
         until_refresh -= 1
@@ -151,8 +156,8 @@ def _local_search(sub: np.ndarray) -> tuple[np.ndarray, int]:
 def _ordered_parts(
     idx: np.ndarray, in_first: np.ndarray
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    first = tuple(int(i) for i in idx[in_first])
-    second = tuple(int(i) for i in idx[~in_first])
+    first = tuple(idx[in_first].tolist())
+    second = tuple(idx[~in_first].tolist())
     if not first or (second and second[0] < first[0]):
         first, second = second, first
     return first, second
