@@ -11,6 +11,7 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -106,6 +107,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
     return EXIT_OK if passed else EXIT_UNCERTIFIED
 
 
+# Built once per process: an argparse parser is a web of reference cycles,
+# so one built per call is garbage that only the cyclic collector frees.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frame-partition",
