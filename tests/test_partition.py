@@ -18,7 +18,6 @@ from frame_partition import (
 )
 from frame_partition.errors import TooLargeForOracle, WeightMatrixError
 from frame_partition.generators import GeneratorSpec, generate
-from frame_partition import partition
 from frame_partition.linalg import WeightMatrix, weight_matrix
 from frame_partition.partition import (
     BREAKPOINT_TOL,
@@ -146,7 +145,7 @@ class TestMillsBipartition:
             return fsum(values)
 
         clique = np.ones((3, 3)) - np.eye(3)
-        monkeypatch.setattr(partition.math, "fsum", counting_fsum)
+        monkeypatch.setattr(math, "fsum", counting_fsum)
         in_first, moves = _local_search(clique)
         monkeypatch.undo()
         assert [np.flatnonzero(in_first).tolist(), np.flatnonzero(~in_first).tolist()] == [
@@ -163,8 +162,8 @@ class TestMillsBipartition:
         rng = np.random.Generator(np.random.PCG64(100 + seed))
         k = int(rng.integers(96, 161))
         if seed % 2:
-            a = rng.choice(TIE_VALUES, size=(k, k))
-            a = np.triu(a, 1) + np.triu(a, 1).T
+            upper = np.triu(rng.choice(TIE_VALUES, size=(k, k)), 1)
+            a = upper + upper.T
         else:
             a = random_symmetric_weight(rng, k)
         in_first, moves = _local_search(a)
