@@ -107,8 +107,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
     return EXIT_OK if passed else EXIT_UNCERTIFIED
 
 
-# Built once per process: an argparse parser is a web of reference cycles,
-# so one built per call is garbage that only the cyclic collector frees.
+# Built once per process (parse_args leaves it unchanged): an argparse
+# parser is a web of reference cycles, so one built per call is garbage
+# that only the cyclic collector frees.
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
