@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -460,6 +461,39 @@ class TestCertify:
         report["blocks"][0]["sigma"] += 1e-12
         rep.write_text(json.dumps(report))
         assert run("certify", str(vec), str(rep), "--tol", "1e-6") == 0
+
+
+# Reports written by an earlier release (schema_version 1, repr-payload digest)
+# for random_unit 12x4, seed 3, with their vector files: they must keep certifying.
+V1_REPORTS = Path(__file__).parent / "data" / "v1_reports"
+V1_PAIRS = [
+    (f"random_unit_12x4_{field}.json", f"random_unit_12x4_{field}.{mode}.report.json")
+    for field in ("real", "complex")
+    for mode in ("feichtinger", "uniform")
+]
+
+
+class TestV1Reports:
+    @pytest.mark.parametrize("vectors, report", V1_PAIRS, ids=[r for _, r in V1_PAIRS])
+    def test_certifies(self, capsys, vectors, report):
+        assert json.loads((V1_REPORTS / report).read_text())["schema_version"] == 1
+        assert run("certify", str(V1_REPORTS / vectors), str(V1_REPORTS / report)) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("vectors, report", V1_PAIRS, ids=[r for _, r in V1_PAIRS])
+    def test_edited_input_is_a_digest_mismatch(self, tmp_path, capsys, vectors, report):
+        doc = json.loads((V1_REPORTS / vectors).read_text())
+        row = doc["vectors"][0]
+        # a sign flip keeps the vector a unit vector
+        if doc["field"] == "complex":
+            row[0][0] = -row[0][0]
+        else:
+            row[0] = -row[0]
+        edited = tmp_path / vectors
+        edited.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("certify", str(edited), str(V1_REPORTS / report)) == 2
+        assert capsys.readouterr().err.startswith("digest mismatch: ")
 
 
 class TestUsage:
