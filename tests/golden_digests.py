@@ -8,6 +8,11 @@
   formatting: signed zeros, subnormals, repr's switches to exponent
   notation, repeated complex values and a Fortran-ordered input.
 
+``tests/data/golden_digests_v2.json`` holds the schema_version 2 digests
+of the same sequences, in the same layout.  It was written from
+``test_fileio.reference_digest_v2``, which follows the README's definition
+with hashlib and numpy alone.
+
 A certificate names its input by this digest, so a report written before a
 change must still certify after it.  ``test_fileio.py`` requires the current
 code to reproduce the file exactly.  Rewrite it (only when a change of the
@@ -28,6 +33,7 @@ import numpy as np
 from frame_partition import GeneratorSpec, UnitVectorSequence, generate, sequence_digest
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_digests.json"
+GOLDEN_V2_PATH = Path(__file__).parent / "data" / "golden_digests_v2.json"
 
 
 def _raw(vectors) -> SimpleNamespace:
@@ -97,17 +103,21 @@ def corpus_digests(sequences) -> list[str]:
     return [sequence_digest(seq) for seq in sequences]
 
 
-if __name__ == "__main__":
-    from conftest import corpus_specs
-
-    corpus = corpus_digests(generate(spec) for spec in corpus_specs())
-    cases = case_digests()
-    GOLDEN_PATH.parent.mkdir(exist_ok=True)
-    GOLDEN_PATH.write_text(
+def write_golden(path: Path, corpus: list[str], cases: dict[str, str]) -> None:
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(
         '{\n"corpus":[\n'
         + ",\n".join(json.dumps(d) for d in corpus)
         + '\n],\n"cases":{\n'
         + ",\n".join(f"{json.dumps(name)}:{json.dumps(d)}" for name, d in cases.items())
         + "\n}\n}\n"
     )
-    print(f"wrote {len(corpus)} corpus digests and {len(cases)} hand-made cases to {GOLDEN_PATH}")
+    print(f"wrote {len(corpus)} corpus digests and {len(cases)} hand-made cases to {path}")
+
+
+if __name__ == "__main__":
+    from conftest import corpus_specs
+
+    write_golden(
+        GOLDEN_PATH, corpus_digests(generate(spec) for spec in corpus_specs()), case_digests()
+    )

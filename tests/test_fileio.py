@@ -33,7 +33,13 @@ from frame_partition import (
 from frame_partition.fileio import _conforms, _parse_json_vectors
 
 import golden_reports
-from golden_digests import GOLDEN_PATH, case_digests, corpus_digests
+from golden_digests import (
+    GOLDEN_PATH,
+    GOLDEN_V2_PATH,
+    case_digests,
+    corpus_digests,
+    hand_made_cases,
+)
 
 
 @pytest.fixture
@@ -141,6 +147,14 @@ def reference_digest(seq):
     }
     raw = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(raw).hexdigest()
+
+
+def reference_digest_v2(seq):
+    """The schema_version 2 digest as the README defines it, from hashlib and numpy alone:
+    a header line, then each coordinate's real and imaginary part as little-endian float64."""
+    header = '{"dim":%d,"field":"%s"}\n' % (seq.dim, seq.field)
+    parts = np.stack([seq.vectors.real, seq.vectors.imag], axis=-1).astype("<f8")
+    return hashlib.sha256(header.encode("utf-8") + parts.tobytes(order="C")).hexdigest()
 
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-5, 1e-4, 0.1,
@@ -265,6 +279,25 @@ class TestGoldenDigests:
 
     def test_hand_made_digests_unchanged(self):
         assert case_digests() == self.golden["cases"]
+
+
+class TestGoldenDigestsV2:
+    """The fixture was written from ``reference_digest_v2``; digests must not drift."""
+
+    golden = json.loads(GOLDEN_V2_PATH.read_text())
+
+    def test_reference_reproduces_fixture(self, corpus):
+        assert [reference_digest_v2(seq) for _, seq in corpus] == self.golden["corpus"]
+        cases = {name: reference_digest_v2(seq) for name, seq in hand_made_cases().items()}
+        assert cases == self.golden["cases"]
+
+    def test_same_sequences_share_a_digest_in_both_versions(self):
+        v1 = json.loads(GOLDEN_PATH.read_text())
+        pairs = list(zip(v1["corpus"], self.golden["corpus"]))
+        pairs += [(v1["cases"][name], d) for name, d in self.golden["cases"].items()]
+        # equal v1 digests exactly where the v2 digests are equal; the corpus repeats some
+        assert len(set(pairs)) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
+        assert len(set(pairs)) < len(pairs)
 
 
 class TestGoldenReports:
