@@ -87,7 +87,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
         raise ArgumentError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     seq = fileio.read_vectors(args.input)
     report = fileio.read_report(args.report)
-    digest = fileio.sequence_digest(seq)
+    # the schema accepts 1.0 for 1
+    digest = fileio.sequence_digest(seq, int(report["schema_version"]))
     if report["input_digest"] != digest and not args.force:
         print(
             f"digest mismatch: report was built for {report['input_digest'][:12]}..., "

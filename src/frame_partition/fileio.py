@@ -26,7 +26,7 @@ from .linalg import UnitVectorSequence, gram
 from .partition import PartitionCertificate, halving_plan
 
 TOOL_VERSION = "0.1.0"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2  # what partition writes; certify reads every version in the schema
 
 REPORT_TOL = 1e-9
 
@@ -48,7 +48,7 @@ CERTIFICATE_SCHEMA: dict[str, Any] = {
         "timings",
     ],
     "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
+        "schema_version": {"enum": [1, SCHEMA_VERSION]},
         "tool_version": {"type": "string"},
         "input_digest": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
         "mode": {"enum": ["feichtinger", "uniform"]},
@@ -117,6 +117,7 @@ _BLOCK_KEYS = frozenset(_BLOCK_FIELDS)
 _BLOCK_NUMBERS = [k for k, v in _BLOCK_SCHEMA["properties"].items() if v.get("type") == "number"]
 _DIGEST = re.compile(CERTIFICATE_SCHEMA["properties"]["input_digest"]["pattern"])
 _MODES = CERTIFICATE_SCHEMA["properties"]["mode"]["enum"]
+_VERSIONS = CERTIFICATE_SCHEMA["properties"]["schema_version"]["enum"]
 
 
 def _is_number(x: Any) -> bool:
@@ -142,7 +143,7 @@ def _conforms(report: Any) -> bool:
     bounds, blocks, timings = report["global_bounds"], report["blocks"], report["timings"]
     if not (
         _is_number(report["schema_version"])
-        and report["schema_version"] == SCHEMA_VERSION
+        and report["schema_version"] in _VERSIONS
         and type(report["tool_version"]) is str
         and type(report["input_digest"]) is str
         and _DIGEST.search(report["input_digest"])
@@ -192,21 +193,33 @@ def _vector_rows(seq: UnitVectorSequence) -> list[list[float]] | list[list[list[
     return [[[float(x.real), float(x.imag)] for x in row] for row in seq.vectors]
 
 
-def sequence_digest(seq: UnitVectorSequence) -> str:
-    """Content hash of the sequence: the sha256 hex digest of its canonical payload.
+def sequence_digest(seq: UnitVectorSequence, version: int = SCHEMA_VERSION) -> str:
+    """Content hash of the sequence as report ``schema_version`` ``version`` defines it.
 
-    The payload is the UTF-8 text ``{"dim":D,"field":"F","vectors":[...]}``
-    with no whitespace and the keys in that order.  ``vectors`` holds one
-    list per vector of ``["re","im"]`` pairs, each part the Python ``repr``
-    of the coordinate's float64 real or imaginary part (so ``-0.0``, ``0.0``
-    and ``1e-05`` appear as written here), imaginary parts included in real
-    mode.  It is the compact ``json.dumps`` of that structure with
-    ``sort_keys=True``.
+    Version 2 is the sha256 hex digest of the UTF-8 header line
+    ``{"dim":D,"field":"F"}`` (with its newline) followed by the vectors'
+    C-ordered little-endian complex128 bytes: no float is formatted, and
+    ``-0.0`` and ``0.0`` still hash apart.
 
-    ``repr`` is the whole cost, so each distinct bit pattern is formatted
+    Version 1, kept to certify the reports written before version 2, is the
+    sha256 hex digest of a canonical payload, the UTF-8 text
+    ``{"dim":D,"field":"F","vectors":[...]}`` with no whitespace and the
+    keys in that order.  ``vectors`` holds one list per vector of
+    ``["re","im"]`` pairs, each part the Python ``repr`` of the coordinate's
+    float64 real or imaginary part (so ``-0.0``, ``0.0`` and ``1e-05``
+    appear as written here), imaginary parts included in real mode.  It is
+    the compact ``json.dumps`` of that structure with ``sort_keys=True``.
+    ``repr`` is its whole cost, so each distinct bit pattern is formatted
     once (bit patterns keep ``-0.0`` apart from ``0.0``) and the strings
     fill one row template per vector.
     """
+    if version == 2:
+        header = '{"dim":%d,"field":%s}\n' % (seq.dim, json.dumps(seq.field))
+        digest = hashlib.sha256(header.encode())
+        digest.update(np.ascontiguousarray(seq.vectors, dtype="<c16"))
+        return digest.hexdigest()
+    if version != 1:
+        raise ArgumentError(f"no input digest is defined for schema_version {version!r}")
     bits, where = np.unique(seq.vectors.view(np.uint64), return_inverse=True)
     text = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
     row = "[" + ",".join(['["%s","%s"]'] * seq.dim) + "]"

@@ -1,6 +1,6 @@
-"""Golden input digests: ``sequence_digest``'s output, pinned in a fixture.
+"""Golden input digests: ``sequence_digest``'s output, pinned in two fixtures.
 
-``tests/data/golden_digests.json`` holds
+``tests/data/golden_digests.json`` holds the schema_version 1 digests,
 
 * ``corpus``: the digest of every acceptance-grid instance
   (``conftest.corpus_specs``), in grid order;
@@ -15,10 +15,9 @@ with hashlib and numpy alone.
 
 A certificate names its input by this digest, so a report written before a
 change must still certify after it.  ``test_fileio.py`` requires the current
-code to reproduce the file exactly.  Rewrite it (only when a change of the
-digest is intended, which invalidates every report already written) with
-
-    PYTHONPATH=src python tests/golden_digests.py
+code to reproduce both files exactly.  Neither may change: a new digest
+needs a new schema_version.  ``PYTHONPATH=src python tests/golden_digests.py
+VERSION`` writes the fixture of version 1 or 2 from ``sequence_digest``.
 """
 
 from __future__ import annotations
@@ -95,12 +94,12 @@ def hand_made_cases() -> dict:
     }
 
 
-def case_digests() -> dict[str, str]:
-    return {name: sequence_digest(seq) for name, seq in hand_made_cases().items()}
+def case_digests(version: int) -> dict[str, str]:
+    return {name: sequence_digest(seq, version) for name, seq in hand_made_cases().items()}
 
 
-def corpus_digests(sequences) -> list[str]:
-    return [sequence_digest(seq) for seq in sequences]
+def corpus_digests(sequences, version: int) -> list[str]:
+    return [sequence_digest(seq, version) for seq in sequences]
 
 
 def write_golden(path: Path, corpus: list[str], cases: dict[str, str]) -> None:
@@ -116,8 +115,13 @@ def write_golden(path: Path, corpus: list[str], cases: dict[str, str]) -> None:
 
 
 if __name__ == "__main__":
+    import sys
+
     from conftest import corpus_specs
 
+    version = int(sys.argv[1])
     write_golden(
-        GOLDEN_PATH, corpus_digests(generate(spec) for spec in corpus_specs()), case_digests()
+        {1: GOLDEN_PATH, 2: GOLDEN_V2_PATH}[version],
+        corpus_digests((generate(spec) for spec in corpus_specs()), version),
+        case_digests(version),
     )

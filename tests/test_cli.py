@@ -495,6 +495,28 @@ class TestV1Reports:
         assert run("certify", str(edited), str(V1_REPORTS / report)) == 2
         assert capsys.readouterr().err.startswith("digest mismatch: ")
 
+    def test_float_version_certifies(self, tmp_path):
+        vectors, report = V1_PAIRS[0]
+        doc = json.loads((V1_REPORTS / report).read_text())
+        doc["schema_version"] = 1.0  # the schema accepts it as 1
+        path = tmp_path / report
+        path.write_text(json.dumps(doc))
+        assert run("certify", str(V1_REPORTS / vectors), str(path)) == 0
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_new_report_relabelled_version_1_is_a_digest_mismatch(self, tmp_path, capsys, field):
+        vec, rep = tmp_path / "v.json", tmp_path / "r.json"
+        run("generate", "--kind", "random_unit", "--dim", "4", "--count", "12", "--seed", "3",
+            "--field", field, "-o", str(vec))
+        assert run("partition", str(vec), "-o", str(rep)) == 0
+        report = json.loads(rep.read_text())
+        assert report["schema_version"] == 2
+        report["schema_version"] = 1
+        rep.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run("certify", str(vec), str(rep)) == 2
+        assert capsys.readouterr().err.startswith("digest mismatch: ")
+
 
 class TestUsage:
     def test_no_command_exit_2(self):

@@ -133,7 +133,19 @@ class TestDigest:
     def test_matches_file_round_trip(self, tmp_path, complex_seq):
         path = tmp_path / "v.json"
         write_vectors(path, complex_seq)
-        assert sequence_digest(read_vectors(path)) == sequence_digest(complex_seq)
+        for version in (1, 2):
+            assert sequence_digest(read_vectors(path), version) == sequence_digest(
+                complex_seq, version
+            )
+
+    def test_version_2_is_the_default(self, complex_seq):
+        assert sequence_digest(complex_seq) == sequence_digest(complex_seq, 2)
+        assert sequence_digest(complex_seq, 1) != sequence_digest(complex_seq, 2)
+
+    @pytest.mark.parametrize("version", [0, 3, None])
+    def test_unknown_version(self, complex_seq, version):
+        with pytest.raises(ArgumentError, match="schema_version"):
+            sequence_digest(complex_seq, version)
 
 
 def reference_digest(seq):
@@ -184,7 +196,14 @@ class TestDigestDifferential:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(raw_vectors())
     def test_matches_reference_payload(self, raw):
-        assert sequence_digest(raw) == reference_digest(raw)
+        assert sequence_digest(raw, 1) == reference_digest(raw)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(raw_vectors(), st.booleans())
+    def test_version_2_matches_reference(self, raw, transpose):
+        if transpose:  # a Fortran-ordered array hashes as its C-ordered copy
+            raw.vectors = raw.vectors.T.copy().T
+        assert sequence_digest(raw, 2) == reference_digest_v2(raw)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(raw_vectors(), st.booleans())
@@ -194,7 +213,8 @@ class TestDigestDifferential:
         assume(np.all(np.isfinite(norms)) and np.all(norms > 1e-150))
         seq = UnitVectorSequence.from_vectors(v, field=raw.field, renormalize=True)
         assert seq.vectors.flags.c_contiguous
-        assert sequence_digest(seq) == reference_digest(seq)
+        assert sequence_digest(seq, 1) == reference_digest(seq)
+        assert sequence_digest(seq, 2) == reference_digest_v2(seq)
 
 
 def reference_cells(rows, count, dim, field):
@@ -272,13 +292,13 @@ class TestGoldenDigests:
     golden = json.loads(GOLDEN_PATH.read_text())
 
     def test_corpus_digests_unchanged(self, corpus):
-        digests = corpus_digests(seq for _, seq in corpus)
+        digests = corpus_digests((seq for _, seq in corpus), 1)
         assert len(digests) == len(self.golden["corpus"])
         assert [spec for (spec, _), got, want in zip(corpus, digests, self.golden["corpus"])
                 if got != want] == []
 
     def test_hand_made_digests_unchanged(self):
-        assert case_digests() == self.golden["cases"]
+        assert case_digests(1) == self.golden["cases"]
 
 
 class TestGoldenDigestsV2:
@@ -290,6 +310,12 @@ class TestGoldenDigestsV2:
         assert [reference_digest_v2(seq) for _, seq in corpus] == self.golden["corpus"]
         cases = {name: reference_digest_v2(seq) for name, seq in hand_made_cases().items()}
         assert cases == self.golden["cases"]
+
+    def test_corpus_digests_unchanged(self, corpus):
+        assert corpus_digests((seq for _, seq in corpus), 2) == self.golden["corpus"]
+
+    def test_hand_made_digests_unchanged(self):
+        assert case_digests(2) == self.golden["cases"]
 
     def test_same_sequences_share_a_digest_in_both_versions(self):
         v1 = json.loads(GOLDEN_PATH.read_text())
@@ -317,6 +343,15 @@ class TestGoldenReports:
 
     def test_override_reports_unchanged(self):
         assert golden_reports.override_digests() == self.golden["override"]
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_written_report_holds_version_2(self, tmp_path, field):
+        seq = generate(GeneratorSpec("random_unit", dim=4, count=12, seed=3, field=field))
+        path = tmp_path / "r.json"
+        write_report(path, build_report(feichtinger_partition(seq), seq))
+        report = json.loads(path.read_text())
+        assert report["schema_version"] == 2
+        assert report["input_digest"] == reference_digest_v2(seq)
 
 
 def _base_reports() -> list[dict]:
@@ -455,7 +490,7 @@ class TestReports:
         assert not path.exists()
 
     def test_read_error_is_the_best_match(self, tmp_path):
-        bad = {"schema_version": 2, "mode": "other"}
+        bad = {"schema_version": 3, "mode": "other"}
         path = tmp_path / "r.json"
         path.write_text(json.dumps(bad))
         with pytest.raises(jsonschema.ValidationError) as expected:
