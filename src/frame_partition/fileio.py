@@ -419,8 +419,13 @@ def build_report(
 
 
 def write_report(path: str | Path, report: dict[str, Any]) -> None:
+    """Validate the report and write it as compact JSON on one line.
+
+    Compact, because ``indent`` makes ``json`` fall back from its C encoder
+    to the pure-Python one.
+    """
     _validate_report(report)
-    Path(path).write_text(json.dumps(report, indent=2) + "\n")
+    Path(path).write_text(json.dumps(report) + "\n")
 
 
 def read_report(path: str | Path) -> dict[str, Any]:

@@ -471,6 +471,7 @@ class TestReports:
         path = tmp_path / "r.json"
         write_report(path, report)
         assert read_report(path) == report
+        assert path.read_text() == json.dumps(report) + "\n"
 
     def test_read_rejects_schema_violation(self, tmp_path):
         path = tmp_path / "r.json"
