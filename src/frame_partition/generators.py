@@ -37,6 +37,8 @@ class GeneratorSpec:
             raise ArgumentError(f"dim must be >= 1, got {self.dim}")
         if self.count < 1:
             raise ArgumentError(f"count must be >= 1, got {self.count}")
+        if self.seed < 0:
+            raise ArgumentError(f"seed must be >= 0, got {self.seed}")
         if self.multiplicity < 1:
             raise ArgumentError(f"multiplicity must be >= 1, got {self.multiplicity}")
         if not 0.0 <= self.angle <= np.pi / 2:

@@ -80,6 +80,9 @@ class UnitVectorSequence:
         if field is None:
             field = "real" if np.all(v.imag == 0.0) else "complex"
         if renormalize:
+            # checked here too: scaling a NaN or Inf warns before __post_init__ refuses it
+            if not np.all(np.isfinite(v)):
+                raise ArgumentError("vectors contain NaN or Inf entries")
             # Bring each row's largest real or imaginary part into [0.5, 1)
             # by an exact power-of-two scaling, so that the norm of a finite
             # nonzero row neither overflows nor underflows to zero.

@@ -36,9 +36,14 @@ class TestGenerate:
         assert run(*args, str(b)) == 0
         assert a.read_text() == b.read_text()
 
-    def test_invalid_flags_exit_2(self, tmp_path):
-        assert run("generate", "--kind", "orthonormal", "--dim", "2", "--count", "5",
-                   "-o", str(tmp_path / "x.json")) == 2
+    @pytest.mark.parametrize("flags", [
+        pytest.param(["--kind", "orthonormal", "--dim", "2", "--count", "5"], id="count"),
+        pytest.param(["--kind", "random_unit", "--dim", "2", "--seed", "-1"], id="seed"),
+    ])
+    def test_invalid_flags_exit_2(self, tmp_path, capsys, flags):
+        assert run("generate", *flags, "-o", str(tmp_path / "x.json")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_io_failure_exit_3(self, tmp_path):
         assert run("generate", "--kind", "orthonormal", "--dim", "2", "--count", "2",

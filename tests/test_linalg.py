@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,14 @@ class TestUnitVectorSequence:
     def test_rejects_nan(self):
         with pytest.raises(ArgumentError):
             seq_from([[np.nan, 0.0]])
+
+    @pytest.mark.parametrize("row", [[np.inf, 0.0], [np.nan, 1.0], [complex(0.0, -np.inf), 1.0]])
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_rejects_non_finite_without_warning(self, row, renormalize):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArgumentError, match="^vectors contain NaN or Inf entries$"):
+                seq_from([row, [1.0, 0.0]], renormalize=renormalize)
 
     def test_field_inferred(self):
         assert seq_from([[1.0, 0.0]]).field == "real"
