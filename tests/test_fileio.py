@@ -531,3 +531,47 @@ class TestReports:
         report["blocks"][0]["indices"] = report["blocks"][0]["indices"][:-1] or [0]
         with pytest.raises(ArgumentError):
             recertify(complex_seq, report)
+
+
+def _fresh_reports() -> list[tuple]:
+    pairs = []
+    for field in ("real", "complex"):
+        seq = generate(GeneratorSpec("random_unit", dim=6, count=24, seed=8, field=field))
+        for partitioner in (feichtinger_partition, uniform_partition):
+            pairs.append((seq, build_report(partitioner(seq), seq)))
+    return pairs
+
+
+FRESH_REPORTS = _fresh_reports()
+BLOCK_NUMBERS = ["sigma", "eta", "gamma", "lambda_min", "lambda_max"]
+
+
+class TestRecertifyProperty:
+    """Any one report number moved past ``--tol`` is flagged by name."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    @pytest.mark.parametrize("key", BLOCK_NUMBERS + [
+        "schur_B",
+        "target",
+        # ROADMAP item 4: certify brackets spectral_B between the largest block
+        # lambda_max and schur_B (Cauchy interlacing), so a move inside that
+        # interval goes unnoticed until it proves the bound
+        pytest.param("spectral_B", marks=pytest.mark.xfail(strict=True, reason="bracketed only")),
+    ])
+    def test_moved_number_is_flagged(self, data, key):
+        seq, fresh = data.draw(st.sampled_from(FRESH_REPORTS))
+        report = copy.deepcopy(fresh)
+        tol = data.draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-2]))
+        if key in BLOCK_NUMBERS:
+            pos = data.draw(st.integers(0, len(report["blocks"]) - 1))
+            doc = report["blocks"][pos]
+        else:
+            doc = report["global_bounds"] if key in report["global_bounds"] else report
+        past = data.draw(st.floats(1e-15, 10.0) | st.sampled_from([5e-324, 1e-300]))
+        moved = doc[key] + data.draw(st.sampled_from([-1.0, 1.0])) * (tol + past)
+        assume(not abs(moved - doc[key]) <= tol)  # past tol after rounding
+        doc[key] = moved
+        blocks, claims = recertify(seq, report, tol)
+        lines = blocks[pos]["failures"] if key in BLOCK_NUMBERS else claims
+        assert any(line.startswith(f"{key}: ") for line in lines)
