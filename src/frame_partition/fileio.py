@@ -419,12 +419,8 @@ def build_report(
 
 
 def write_report(path: str | Path, report: dict[str, Any]) -> None:
-    """Validate the report and write it as compact JSON on one line.
-
-    Compact, because ``indent`` makes ``json`` fall back from its C encoder
-    to the pure-Python one.
-    """
     _validate_report(report)
+    # compact: with indent, json runs its pure-Python encoder instead of the C one
     Path(path).write_text(json.dumps(report) + "\n")
 
 
