@@ -133,10 +133,9 @@ class TestDigest:
     def test_matches_file_round_trip(self, tmp_path, complex_seq):
         path = tmp_path / "v.json"
         write_vectors(path, complex_seq)
+        back = read_vectors(path)
         for version in (1, 2):
-            assert sequence_digest(read_vectors(path), version) == sequence_digest(
-                complex_seq, version
-            )
+            assert sequence_digest(back, version) == sequence_digest(complex_seq, version)
 
     def test_version_2_is_the_default(self, complex_seq):
         assert sequence_digest(complex_seq) == sequence_digest(complex_seq, 2)
