@@ -18,7 +18,8 @@ from frame_partition import (
 )
 from frame_partition.errors import TooLargeForOracle, WeightMatrixError
 from frame_partition.generators import GeneratorSpec, generate
-from frame_partition.linalg import WeightMatrix, weight_matrix
+from frame_partition import partition as partition_module
+from frame_partition.linalg import GramMatrix, WeightMatrix, hermitian_eigenvalues, weight_matrix
 from frame_partition.partition import (
     BREAKPOINT_TOL,
     LEVEL_SAFETY,
@@ -407,4 +408,39 @@ class TestGoldenPartitions:
             i for i, (got, want) in enumerate(zip(results, self.golden["weights"])) if got != want
         ]
         assert len(results) == len(self.golden["weights"])
+        assert mismatched == []
+
+
+class TestFullGramDifferential:
+    """Every corpus report matches the one built from the full n x n Gram spectrum."""
+
+    def test_corpus_reports_match(self, corpus, monkeypatch):
+        partitioners = (feichtinger_partition, uniform_partition)
+        certs = [[p(seq) for p in partitioners] for _, seq in corpus]
+        # a GramMatrix built by its public constructor keeps the n x n eigvalsh path
+        monkeypatch.setattr(partition_module, "gram", lambda seq: GramMatrix(gram(seq).entries))
+        mismatched = []
+        for (spec, seq), got in zip(corpus, certs):
+            full_b = float(hermitian_eigenvalues(gram(seq).entries)[-1])
+            for p, cert in zip(partitioners, got):
+                ref = p(seq)
+                close = all(
+                    abs(a - b) <= 1e-14 * abs(b)
+                    for a, b in (
+                        (cert.spectral_bound, full_b),
+                        (cert.global_bessel, ref.global_bessel),
+                        (cert.target, ref.target),
+                    )
+                )
+                same = (
+                    halving_plan(cert.global_bessel) == halving_plan(ref.global_bessel)
+                    and cert.partition == ref.partition
+                    and [bc.certified for bc in cert.per_block]
+                    == [bc.certified for bc in ref.per_block]
+                    and [bc.borderline for bc in cert.per_block]
+                    == [bc.borderline for bc in ref.per_block]
+                    and (cert.all_certified, cert.borderline) == (ref.all_certified, ref.borderline)
+                )
+                if not (close and same):
+                    mismatched.append((spec, p.__name__))
         assert mismatched == []
