@@ -13,6 +13,13 @@ the Gram matrix) and the Schur-test one (max absolute row sum, diagonal
 included).  They differ by design: the Schur bound sums over all entries
 while sigma omits the diagonal, so for unit vectors schur_bound = sigma-ish
 row sums + 1.
+
+Every spectrum (the spectral bound, and each block's lambda_min and
+lambda_max) comes from ``block_spectrum``, so ``partition``, ``analyze``
+and ``certify`` share one rule.  For a Gram matrix built by ``gram`` it
+diagonalizes the smaller side: a block of k vectors in dimension d < k
+has the d x d frame operator V_b* V_b, whose nonzero spectrum is the block
+Gram's, and rank at most d < k, so lambda_min is 0.0 exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ArgumentError, EmptyBlockError
-from .linalg import GramMatrix, UnitVectorSequence, gram, hermitian_eigenvalues, synthesis
+from .linalg import GramMatrix, UnitVectorSequence, gram, synthesis
 
 # sigma in [1 - BORDERLINE_TOL, 1) is still certified but flagged.
 BORDERLINE_TOL = 1e-12
@@ -41,9 +48,29 @@ def normalize_block(n: int, block: Iterable[int] | None) -> np.ndarray:
     return idx
 
 
+def block_spectrum(
+    g: GramMatrix, sub: np.ndarray, idx: np.ndarray | None = None
+) -> tuple[float, float]:
+    """``(lambda_min, lambda_max)`` of the block Gram ``sub`` = G[idx, idx].
+
+    ``idx`` None means the whole index set, with ``sub`` = G.  When the
+    block has more vectors than ``g.factor`` has columns, lambda_max comes
+    from the d x d frame operator of the block's rows and lambda_min is 0.0
+    exactly (the rank is at most d); otherwise ``sub`` is diagonalized.
+    The submatrix of a ``GramMatrix`` is Hermitian by construction, so it is
+    not re-checked.
+    """
+    v = g.factor
+    if v is not None and sub.shape[0] > v.shape[1]:
+        rows = v if idx is None else v.take(idx, axis=0)
+        return 0.0, float(np.linalg.eigvalsh(rows.conj().T @ rows)[-1])
+    eigs = np.linalg.eigvalsh(sub)
+    return float(eigs[0]), float(eigs[-1])
+
+
 def spectral_bessel_bound(g: GramMatrix) -> float:
     """Optimal Bessel constant: lambda_max of the Gram matrix."""
-    return float(hermitian_eigenvalues(g)[-1])
+    return block_spectrum(g, g.entries)[1]
 
 
 def schur_bessel_bound(g: GramMatrix) -> float:
@@ -123,17 +150,16 @@ def certify_block(g: GramMatrix, idx: Sequence[int], mode: str) -> BlockCertific
     """sigma, eta, gamma, the extreme eigenvalues and the ``mode`` verdict of one block.
 
     ``idx`` must hold sorted, distinct, in-range indices (a partition block
-    or a normalized block); it is not re-checked.  The submatrix of a
-    ``GramMatrix`` is Hermitian by construction, so the spectrum is taken
-    without a re-check.
+    or a normalized block); it is not re-checked.  The extreme eigenvalues
+    come from ``block_spectrum``.
     """
     idx = np.asarray(idx, dtype=int)
     sub = g.entries.take(idx, axis=0).take(idx, axis=1)  # g.entries[np.ix_(idx, idx)]
-    eigs = np.linalg.eigvalsh(sub)
+    lambda_min, lambda_max = block_spectrum(g, sub, idx)
     s, e, gamma = _row_functionals(sub)
     certified, borderline = block_verdict(mode, s, e)
     return BlockCertificate(
-        tuple(idx.tolist()), s, e, gamma, float(eigs[0]), float(eigs[-1]), certified, borderline
+        tuple(idx.tolist()), s, e, gamma, lambda_min, lambda_max, certified, borderline
     )
 
 

@@ -468,7 +468,10 @@ def recertify(
         results.append(
             {"block": pos, "indices": list(block), "passed": not failures, "failures": failures}
         )
-    return results, _claim_failures(report, analysis.schur_bessel_bound(g), records, tol)
+    claims = _claim_failures(
+        report, analysis.spectral_bessel_bound(g), analysis.schur_bessel_bound(g), records, tol
+    )
+    return results, claims
 
 
 def _differs(reported: Any, value: float | bool, tol: float) -> bool:
@@ -485,42 +488,31 @@ def _differs(reported: Any, value: float | bool, tol: float) -> bool:
         return True
 
 
-# Round-off allowed, relative to schur_B, in lambda_max(block) <= spectral_B
-# <= schur_B: computed spectra keep these exact inequalities to a few ulps.
-SPECTRAL_ROUNDOFF = 1e-12
-
-
 def _claim_failures(
     report: dict[str, Any],
+    spectral_b: float,
     schur_b: float,
     records: list[analysis.BlockCertificate],
     tol: float,
 ) -> list[str]:
     """The report's global claims that do not hold, one line each.
 
-    ``schur_B`` is compared with the recomputed ``schur_b``.  ``spectral_B``
-    must lie between the largest recomputed block ``lambda_max`` (Cauchy
-    interlacing) and ``schur_b``, within ``tol`` plus SPECTRAL_ROUNDOFF;
-    recomputing it exactly needs the spectrum of the full Gram matrix.
-    ``bessel_B_used`` must be at least the mode's bound, and ``levels`` and
-    ``target`` must be what the halving derives from it; the report may hold
-    at most 2^levels blocks.  ``all_certified`` and ``borderline`` must match
-    the recomputed block ``records`` (and, for ``borderline``, whether B
-    sits on a power-of-two breakpoint).
+    ``spectral_B`` and ``schur_B`` are compared with the recomputed
+    ``spectral_b`` and ``schur_b``.  ``bessel_B_used`` must be at least the
+    mode's recomputed bound, and ``levels`` and ``target`` must be what the
+    halving derives from it; the report may hold at most 2^levels blocks.
+    ``all_certified`` and ``borderline`` must match the recomputed block
+    ``records`` (and, for ``borderline``, whether B sits on a power-of-two
+    breakpoint).
     """
     bounds = report["global_bounds"]
-    lambda_max = max(bc.lambda_max for bc in records)
-    failures = []
-    if _differs(bounds["schur_B"], schur_b, tol):
-        failures.append(f"schur_B: reported {bounds['schur_B']!r}, recomputed {schur_b!r}")
-    slack = tol + SPECTRAL_ROUNDOFF * schur_b
-    if not lambda_max - slack <= bounds["spectral_B"] <= schur_b + slack:
-        failures.append(
-            f"spectral_B: reported {bounds['spectral_B']!r}, outside [{lambda_max!r}, "
-            f"{schur_b!r}] (largest block lambda_max, schur_B)"
-        )
+    failures = [
+        f"{key}: reported {bounds[key]!r}, recomputed {value!r}"
+        for key, value in (("spectral_B", spectral_b), ("schur_B", schur_b))
+        if _differs(bounds[key], value, tol)
+    ]
     b = bounds["bessel_B_used"]
-    mode_b = schur_b if report["mode"] == "feichtinger" else bounds["spectral_B"]
+    mode_b = schur_b if report["mode"] == "feichtinger" else spectral_b
     levels = int(report["levels"])
     try:
         finite = math.isfinite(b)

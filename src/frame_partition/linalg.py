@@ -8,6 +8,7 @@ code path.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -107,9 +108,17 @@ class UnitVectorSequence:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Hermitian matrix of pairwise inner products G[i, j] = <f_i, f_j>."""
+    """Hermitian matrix of pairwise inner products G[i, j] = <f_i, f_j>.
+
+    ``factor`` is the n x d matrix V of the vectors, G = V V*, when the
+    matrix came from ``gram`` (float64 for a real-mode sequence); the
+    public constructor leaves it None.
+    """
 
     entries: np.ndarray
+    factor: np.ndarray | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         g = np.array(self.entries, dtype=np.complex128)
@@ -169,7 +178,10 @@ def gram(seq: UnitVectorSequence) -> GramMatrix:
     upper = np.triu(full, 1)
     g = upper + upper.conj().T
     g[np.diag_indices_from(g)] = np.linalg.norm(v, axis=1) ** 2
-    return GramMatrix(g)
+    out = GramMatrix(g)
+    # real-mode vectors have zero imaginary parts: real arithmetic is a quarter of the work
+    object.__setattr__(out, "factor", np.ascontiguousarray(v.real) if seq.field == "real" else v)
+    return out
 
 
 def weight_matrix(g: GramMatrix, power: int = 1) -> WeightMatrix:

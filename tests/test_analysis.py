@@ -146,8 +146,34 @@ class TestBlockStats:
             assert bc.indices == tuple(idx.tolist())
             assert (bc.sigma, bc.eta, bc.gamma) == expected
             assert (sigma(g, idx), eta(g, idx), separation_constant(g, idx)) == expected
-            assert (bc.lambda_min, bc.lambda_max) == (eigs[0], eigs[-1])
+            if idx.size <= 4:
+                assert (bc.lambda_min, bc.lambda_max) == (eigs[0], eigs[-1])
+            else:  # more vectors than the dimension: the 4 x 4 frame operator
+                rows = g.factor[idx]
+                frame_max = np.linalg.eigvalsh(rows.conj().T @ rows)[-1]
+                assert (bc.lambda_min, bc.lambda_max) == (0.0, frame_max)
+                assert abs(bc.lambda_max - eigs[-1]) <= 1e-14 * eigs[-1]
             assert (bc.certified, bc.borderline) == block_verdict("uniform", bc.sigma, bc.eta)
+
+    @pytest.mark.parametrize("spec", [
+        GeneratorSpec("harmonic", dim=160, count=288),
+        GeneratorSpec("duplicates", dim=2, multiplicity=5),
+    ], ids=["harmonic288x160", "duplicates5x2"])
+    def test_more_vectors_than_dimension(self, spec):
+        seq = generate(spec)
+        g = gram(seq)
+        rng = np.random.Generator(np.random.PCG64(7))
+        blocks = [np.arange(seq.n)] + [
+            np.sort(rng.choice(seq.n, size=size, replace=False))
+            for size in (seq.dim + 1, (seq.dim + 1 + seq.n) // 2)
+        ]
+        for idx in blocks:
+            bc = certify_block(g, idx, "feichtinger")
+            eigs = np.linalg.eigvalsh(g.entries[np.ix_(idx, idx)])
+            assert bc.lambda_min == 0.0
+            assert abs(bc.lambda_max - eigs[-1]) <= 1e-14 * eigs[-1]
+        full = float(np.linalg.eigvalsh(g.entries)[-1])
+        assert abs(spectral_bessel_bound(g) - full) <= 1e-14 * full
 
     def test_fields_are_the_report_block_keys(self):
         block_keys = CERTIFICATE_SCHEMA["properties"]["blocks"]["items"]["required"]

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from frame_partition import (
     spectral_bessel_bound,
 )
 from frame_partition.cli import main
+from frame_partition.partition import halving_plan
 
 from test_analysis import reference_row_functionals
 
@@ -291,8 +293,8 @@ class TestCertify:
                      id="huge_int_B"),
         pytest.param("feichtinger", {"spectral_B": 10**400}, ["spectral_B"],
                      id="huge_int_spectral_B"),
-        # the uniform mode's bound is the reported spectral_B, which B is now below
-        pytest.param("uniform", {"spectral_B": 10**400}, ["spectral_B", "bessel_B_used"],
+        # the uniform mode's B is held against the recomputed spectral_B, not the reported one
+        pytest.param("uniform", {"spectral_B": 10**400}, ["spectral_B"],
                      id="huge_int_uniform_spectral_B"),
         pytest.param("uniform", {"levels": 10**400}, ["levels", "target"], id="huge_int_levels"),
     ])
@@ -371,6 +373,29 @@ class TestCertify:
         capsys.readouterr()
         assert run("certify", str(vec), str(rep), "--tol", "0") == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    def test_understated_bessel_constant_fails(self, tmp_path, capsys):
+        # every block claim and the levels/target derived from the stated B hold;
+        # only the stated B (17.5) is below the spectral bound (22.40)
+        vec, rep = tmp_path / "v.json", tmp_path / "r.json"
+        run("generate", "--kind", "random_unit", "--dim", "16", "--count", "256", "--seed", "3",
+            "-o", str(vec))
+        run("partition", str(vec), "--mode", "uniform", "-o", str(rep))
+        report = json.loads(rep.read_text())
+        spectral = report["global_bounds"]["spectral_B"]
+        assert 22.40 <= spectral < 22.41
+        report["global_bounds"].update(spectral_B=17.5, bessel_B_used=17.5)
+        assert halving_plan(17.5) == (report["levels"], False)
+        report["target"] = math.ldexp(16.5, -report["levels"])
+        rep.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run("certify", str(vec), str(rep)) == 5
+        lines = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+        assert lines == [
+            f"claim FAIL: spectral_B: reported 17.5, recomputed {spectral!r}",
+            "claim FAIL: bessel_B_used: reported 17.5, "
+            f"not >= 1 and the uniform bound {spectral!r}",
+        ]
 
     @pytest.mark.parametrize("mode", ["feichtinger", "uniform"])
     def test_spectral_bound_below_blocks_fails(self, tmp_path, capsys, mode):

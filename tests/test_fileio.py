@@ -550,14 +550,7 @@ class TestRecertifyProperty:
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(data=st.data())
-    @pytest.mark.parametrize("key", BLOCK_NUMBERS + [
-        "schur_B",
-        "target",
-        # ROADMAP item 4: certify brackets spectral_B between the largest block
-        # lambda_max and schur_B (Cauchy interlacing), so a move inside that
-        # interval goes unnoticed until it proves the bound
-        pytest.param("spectral_B", marks=pytest.mark.xfail(strict=True, reason="bracketed only")),
-    ])
+    @pytest.mark.parametrize("key", BLOCK_NUMBERS + ["spectral_B", "schur_B", "target"])
     def test_moved_number_is_flagged(self, data, key):
         seq, fresh = data.draw(st.sampled_from(FRESH_REPORTS))
         report = copy.deepcopy(fresh)

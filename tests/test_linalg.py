@@ -114,6 +114,14 @@ class TestGram:
             eigs = hermitian_eigenvalues(gram(seq))
             assert eigs[0] >= -1e-10
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_factor(self, field):
+        seq = generate(GeneratorSpec("random_unit", dim=4, count=7, seed=2, field=field))
+        g = gram(seq)
+        assert g.factor.dtype == (np.float64 if field == "real" else np.complex128)
+        assert np.array_equal(g.factor, seq.vectors)
+        assert GramMatrix(g.entries).factor is None
+
     def test_gram_matrix_rejects_non_hermitian(self):
         with pytest.raises(SymmetryViolation):
             GramMatrix(np.array([[1.0, 0.5], [0.4, 1.0]]))
