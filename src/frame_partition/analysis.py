@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ArgumentError, EmptyBlockError
-from .linalg import GramMatrix, UnitVectorSequence, gram, synthesis
+from .linalg import GramMatrix
 
 # sigma in [1 - BORDERLINE_TOL, 1) is still certified but flagged.
 BORDERLINE_TOL = 1e-12
@@ -173,33 +173,3 @@ def riesz_certificate(g: GramMatrix, block: Iterable[int] | None = None) -> Bloc
     """
     return certify_block(g, normalize_block(g.n, block), "feichtinger")
 
-
-def verify_riesz_inequality(
-    seq: UnitVectorSequence,
-    block: Iterable[int] | None = None,
-    trials: int = 100,
-    seed: int = 0,
-    tol: float = 1e-9,
-) -> bool:
-    """Sample random coefficients on the block and check the Riesz sandwich.
-
-    For each trial c: (lambda_min - tol) * ||c||^2 <= ||sum c_k f_k||^2
-    <= (lambda_max + tol) * ||c||^2, with the block-Gram eigenvalue bounds.
-    """
-    if trials < 1:
-        raise ArgumentError(f"trials must be >= 1, got {trials}")
-    idx = normalize_block(seq.n, block)
-    cert = riesz_certificate(gram(seq), idx)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    for _ in range(trials):
-        c = rng.standard_normal(idx.size)
-        if seq.field == "complex":
-            c = c + 1j * rng.standard_normal(idx.size)
-        full = np.zeros(seq.n, dtype=np.complex128)
-        full[idx] = c
-        image = synthesis(seq, full)
-        nsq = float(np.linalg.norm(image) ** 2)
-        csq = float(np.linalg.norm(c) ** 2)
-        if nsq < (cert.lambda_min - tol) * csq or nsq > (cert.lambda_max + tol) * csq:
-            return False
-    return True

@@ -1,4 +1,4 @@
-"""Unit-vector sequences, Gram matrices and the operators built on them.
+"""Unit-vector sequences, Gram matrices and the weight matrices built on them.
 
 Convention used everywhere in this package: the inner product <x, y> is
 linear in the first argument and conjugate-linear in the second.  Real-mode
@@ -191,26 +191,6 @@ def weight_matrix(g: GramMatrix, power: int = 1) -> WeightMatrix:
     a = np.abs(g.entries) ** power
     np.fill_diagonal(a, 0.0)
     return WeightMatrix(a, power=power)
-
-
-def synthesis(seq: UnitVectorSequence, c: Sequence[complex]) -> np.ndarray:
-    """Synthesis operator: sum of c_k * f_k, returned in coordinates."""
-    cv = np.asarray(c, dtype=np.complex128)
-    if cv.ndim != 1 or cv.size != seq.n:
-        raise DimensionError(f"expected {seq.n} coefficients, got shape {cv.shape}")
-    if not np.all(np.isfinite(cv)):
-        raise ArgumentError("coefficients contain NaN or Inf entries")
-    return cv @ seq.vectors
-
-
-def analysis_op(seq: UnitVectorSequence, x: Sequence[complex]) -> np.ndarray:
-    """Analysis operator: the coefficient vector (<x, f_i>)_i."""
-    xv = np.asarray(x, dtype=np.complex128)
-    if xv.ndim != 1 or xv.size != seq.dim:
-        raise DimensionError(f"expected a vector of length {seq.dim}, got shape {xv.shape}")
-    if not np.all(np.isfinite(xv)):
-        raise ArgumentError("vector contains NaN or Inf entries")
-    return seq.vectors.conj() @ xv
 
 
 def hermitian_eigenvalues(m: np.ndarray | GramMatrix) -> np.ndarray:

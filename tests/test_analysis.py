@@ -6,7 +6,6 @@ import pytest
 from frame_partition import (
     CERTIFICATE_SCHEMA,
     ArgumentError,
-    UnitVectorSequence,
     eta,
     gram,
     riesz_certificate,
@@ -19,7 +18,6 @@ from frame_partition.analysis import (
     BlockCertificate,
     block_verdict,
     certify_block,
-    verify_riesz_inequality,
 )
 from frame_partition.errors import EmptyBlockError
 from frame_partition.generators import GeneratorSpec, generate
@@ -232,21 +230,3 @@ class TestRieszCertificate:
                 assert cert.lambda_min >= cert.a_bound - 1e-8
                 assert cert.lambda_max <= cert.b_bound + 1e-8
 
-
-class TestVerifyRieszInequality:
-    def test_orthonormal(self):
-        seq = UnitVectorSequence(np.eye(4))
-        assert verify_riesz_inequality(seq, trials=50, seed=1)
-
-    def test_single_coefficient(self):
-        seq = generate(GeneratorSpec("random_unit", dim=4, count=6, seed=2))
-        assert verify_riesz_inequality(seq, block=[3], trials=10, seed=3)
-
-    def test_random_instance(self):
-        seq = generate(GeneratorSpec("random_unit", dim=8, count=16, seed=16, field="complex"))
-        assert verify_riesz_inequality(seq, trials=100, seed=4)
-
-    def test_trials_validation(self):
-        seq = UnitVectorSequence(np.eye(2))
-        with pytest.raises(ArgumentError):
-            verify_riesz_inequality(seq, trials=0)

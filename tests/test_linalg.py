@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from frame_partition import ArgumentError, NormViolation, UnitVectorSequence, gram
-from frame_partition.errors import DimensionError, SymmetryViolation, WeightMatrixError
+from frame_partition.errors import SymmetryViolation, WeightMatrixError
 from frame_partition.generators import GeneratorSpec, generate
 from frame_partition.linalg import (
     GramMatrix,
     WeightMatrix,
-    analysis_op,
     hermitian_eigenvalues,
-    synthesis,
     weight_matrix,
 )
 
@@ -114,6 +112,17 @@ class TestGram:
             eigs = hermitian_eigenvalues(gram(seq))
             assert eigs[0] >= -1e-10
 
+    def test_gram_identity(self):
+        # ||sum_k c_k f_k||^2 == c^H G c
+        rng = np.random.Generator(np.random.PCG64(5))
+        seq = generate(GeneratorSpec("random_unit", dim=6, count=10, seed=5, field="complex"))
+        g = gram(seq).entries
+        for _ in range(20):
+            c = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+            lhs = np.linalg.norm(c @ seq.vectors) ** 2
+            rhs = (c.conj() @ g.T @ c).real
+            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_factor(self, field):
         seq = generate(GeneratorSpec("random_unit", dim=4, count=7, seed=2, field=field))
@@ -169,54 +178,6 @@ class TestWeightMatrix:
     def test_constructor_rejects_nonzero_diagonal(self):
         with pytest.raises(WeightMatrixError):
             WeightMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
-
-
-class TestOperators:
-    def test_synthesis_orthonormal(self):
-        seq = seq_from(np.eye(2))
-        np.testing.assert_array_equal(synthesis(seq, [1.0, 1.0]), [1.0, 1.0])
-
-    def test_synthesis_zero_coefficients(self):
-        seq = generate(GeneratorSpec("random_unit", dim=3, count=4, seed=0))
-        np.testing.assert_array_equal(synthesis(seq, np.zeros(4)), np.zeros(3))
-
-    def test_synthesis_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            synthesis(seq_from(np.eye(2)), [1.0])
-
-    def test_gram_identity(self):
-        # ||T c||^2 == c^H G c
-        rng = np.random.Generator(np.random.PCG64(5))
-        seq = generate(GeneratorSpec("random_unit", dim=6, count=10, seed=5, field="complex"))
-        g = gram(seq).entries
-        for _ in range(20):
-            c = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-            lhs = np.linalg.norm(synthesis(seq, c)) ** 2
-            rhs = (c.conj() @ g.T @ c).real
-            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
-
-    def test_analysis_orthonormal(self):
-        seq = seq_from(np.eye(3))
-        np.testing.assert_array_equal(analysis_op(seq, [1.0, 0.0, 0.0]), [1, 0, 0])
-
-    def test_analysis_zero_vector(self):
-        seq = generate(GeneratorSpec("random_unit", dim=3, count=5, seed=1))
-        np.testing.assert_array_equal(analysis_op(seq, np.zeros(3)), np.zeros(5))
-
-    def test_analysis_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            analysis_op(seq_from(np.eye(2)), [1.0, 0.0, 0.0])
-
-    def test_adjointness(self):
-        # <T c, x> == sum_i c_i * conj(<x, f_i>)
-        rng = np.random.Generator(np.random.PCG64(8))
-        seq = generate(GeneratorSpec("random_unit", dim=5, count=9, seed=9, field="complex"))
-        for _ in range(20):
-            c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-            x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            lhs = np.vdot(x, synthesis(seq, c))
-            rhs = np.sum(c * analysis_op(seq, x).conj())
-            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
 class TestHermitianEigenvalues:
