@@ -240,7 +240,8 @@ def write_vectors(path: str | Path, seq: UnitVectorSequence, fmt: str | None = N
         }
         if seq.labels is not None:
             doc["labels"] = list(seq.labels)
-        path.write_text(json.dumps(doc, indent=2) + "\n")
+        # compact: with indent, json runs its pure-Python encoder instead of the C one
+        path.write_text(json.dumps(doc) + "\n")
     elif fmt == "csv":
         with path.open("w", newline="") as handle:
             writer = csv.writer(handle)

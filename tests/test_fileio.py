@@ -57,6 +57,10 @@ class TestVectorFiles:
         back = read_vectors(path)
         assert back.field == seq.field
         assert np.array_equal(back.vectors, seq.vectors)
+        if fmt == "json":  # compact, on one line
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text)) + "\n"
+            assert text.count("\n") == 1
 
     def test_json_preserves_labels(self, tmp_path):
         seq = UnitVectorSequence(np.eye(2), labels=("a", "b"))
