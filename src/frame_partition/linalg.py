@@ -3,7 +3,8 @@
 Convention used everywhere in this package: the inner product <x, y> is
 linear in the first argument and conjugate-linear in the second.  Real-mode
 data is stored with zero imaginary parts and goes through the same complex
-code path.
+code path; only the Gram matrix's factor (``GramMatrix.factor``) is kept
+in float64 for it.
 """
 
 from __future__ import annotations
