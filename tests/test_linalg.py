@@ -112,17 +112,6 @@ class TestGram:
             eigs = hermitian_eigenvalues(gram(seq))
             assert eigs[0] >= -1e-10
 
-    def test_gram_identity(self):
-        # ||sum_k c_k f_k||^2 == c^H G c
-        rng = np.random.Generator(np.random.PCG64(5))
-        seq = generate(GeneratorSpec("random_unit", dim=6, count=10, seed=5, field="complex"))
-        g = gram(seq).entries
-        for _ in range(20):
-            c = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-            lhs = np.linalg.norm(c @ seq.vectors) ** 2
-            rhs = (c.conj() @ g.T @ c).real
-            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
-
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_factor(self, field):
         seq = generate(GeneratorSpec("random_unit", dim=4, count=7, seed=2, field=field))
@@ -178,6 +167,37 @@ class TestWeightMatrix:
     def test_constructor_rejects_nonzero_diagonal(self):
         with pytest.raises(WeightMatrixError):
             WeightMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
+class TestOperators:
+    """Synthesis T c = sum_k c_k f_k and analysis T* x = (<x, f_i>)_i, through
+    the factor V that ``gram`` stores: T c = c V and T* x = conj(V) x."""
+
+    def test_gram_identity(self):
+        # ||T c||^2 == c^H G c
+        rng = np.random.Generator(np.random.PCG64(5))
+        g = gram(generate(GeneratorSpec("random_unit", dim=6, count=10, seed=5, field="complex")))
+        for _ in range(20):
+            c = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+            lhs = np.linalg.norm(c @ g.factor) ** 2
+            rhs = (c.conj() @ g.entries.T @ c).real
+            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+
+    def test_adjointness(self):
+        # <T c, x> == sum_i c_i * conj(<x, f_i>), so V* V and G share their nonzero spectrum
+        rng = np.random.Generator(np.random.PCG64(8))
+        for field in ("real", "complex"):
+            g = gram(generate(GeneratorSpec("random_unit", dim=5, count=9, seed=9, field=field)))
+            v = g.factor
+            for _ in range(20):
+                c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+                x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+                lhs = np.vdot(x, c @ v)
+                rhs = np.sum(c * (v.conj() @ x).conj())
+                assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+            frame_op = np.linalg.eigvalsh(v.conj().T @ v)
+            nonzero = hermitian_eigenvalues(g)[-5:]
+            np.testing.assert_allclose(frame_op, nonzero, rtol=1e-12, atol=1e-12)
 
 
 class TestHermitianEigenvalues:
