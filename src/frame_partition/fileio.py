@@ -1,9 +1,14 @@
 """Vector files, certificate reports and the independent re-check.
 
-JSON is the canonical vector format (floats round-trip exactly through
-repr); CSV is a convenience importer with complex cells written "re:im".
-Certificate reports are JSON documents validated against a published
-schema and bound to their input by a content digest.
+JSON is the canonical vector format (floats round-trip exactly: each is
+written as the shortest decimal that reads back to it); CSV is a
+convenience importer with complex cells written "re:im".  JSON vector files
+are written and read through orjson, after a scan that refuses structural
+nesting deeper than ``MAX_NESTING``; what orjson refuses is read by
+``json.loads``, so a file means what it means to ``json``.  Certificate
+reports stay on ``json``: they must hold integers beyond 64 bits and NaN as
+written.  They are validated against a published schema and bound to their
+input by a content digest.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
+import orjson
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import ValidationError, best_match
 
@@ -187,12 +193,6 @@ def _validate_report(report: Any) -> None:
         raise error
 
 
-def _vector_rows(seq: UnitVectorSequence) -> list[list[float]] | list[list[list[float]]]:
-    if seq.field == "real":
-        return [[float(x.real) for x in row] for row in seq.vectors]
-    return [[[float(x.real), float(x.imag)] for x in row] for row in seq.vectors]
-
-
 def sequence_digest(seq: UnitVectorSequence, version: int = SCHEMA_VERSION) -> str:
     """Content hash of the sequence as report ``schema_version`` ``version`` defines it.
 
@@ -232,16 +232,20 @@ def write_vectors(path: str | Path, seq: UnitVectorSequence, fmt: str | None = N
     path = Path(path)
     fmt = fmt or path.suffix.lstrip(".").lower()
     if fmt == "json":
+        v = np.ascontiguousarray(seq.vectors)
         doc = {
             "dim": seq.dim,
             "field": seq.field,
             "count": seq.n,
-            "vectors": _vector_rows(seq),
+            # real parts alone, or each coordinate as its [re, im] pair of float64s
+            "vectors": np.ascontiguousarray(v.real)
+            if seq.field == "real"
+            else v.view(np.float64).reshape(*v.shape, 2),
         }
         if seq.labels is not None:
             doc["labels"] = list(seq.labels)
-        # compact: with indent, json runs its pure-Python encoder instead of the C one
-        path.write_text(json.dumps(doc) + "\n")
+        option = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+        path.write_bytes(orjson.dumps(doc, option=option))
     elif fmt == "csv":
         with path.open("w", newline="") as handle:
             writer = csv.writer(handle)
@@ -356,9 +360,9 @@ def _parse_csv_vectors(text: str) -> UnitVectorSequence:
     return UnitVectorSequence(vectors, field=field)
 
 
-def _read_text(path: Path) -> str:
+def _decode(data: bytes, path: str | Path) -> str:
     try:
-        return path.read_text(encoding="utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ArgumentError(f"{path} is not UTF-8 text: {exc}") from exc
 
@@ -375,14 +379,65 @@ def _parse_json(text: str, source: str) -> Any:
         raise ArgumentError(f"invalid JSON in {source}: {exc}") from exc
 
 
+MAX_NESTING = 1000  # about where json.loads runs out of recursion
+
+# Number, comma and whitespace characters: never a quote, a backslash, a
+# bracket or a character that a valid string escape puts after a backslash.
+_NOT_STRUCTURE = b"0123456789+-.eE, \t\n\r"
+
+
+def _nesting_depth(data: bytes) -> int:
+    """The deepest nesting of arrays and objects in JSON text.
+
+    Brackets inside strings do not count.  Deleting ``_NOT_STRUCTURE``
+    first leaves every valid escape next to its backslash, so a quote is
+    escaped exactly when an odd run of backslashes precedes it.  On invalid
+    text the count is exact up to the first error, where a parser stops,
+    so it never reads less than the depth a parser reaches.
+    """
+    s = np.frombuffer(data.translate(None, _NOT_STRUCTURE), dtype=np.uint8)
+    quote = s == ord('"')
+    slash = np.flatnonzero(s == ord("\\"))
+    if slash.size:
+        gap = np.diff(slash) != 1
+        first, last = slash[np.r_[True, gap]], slash[np.r_[gap, True]]
+        escaped = last[(last - first) % 2 == 0] + 1
+        quote[escaped[escaped < s.size]] = False
+    outside = np.bitwise_xor.accumulate(quote.view(np.uint8)) == 0
+    opens = outside & ((s == ord("[")) | (s == ord("{")))
+    closes = outside & ((s == ord("]")) | (s == ord("}")))
+    depth = np.cumsum(opens.view(np.int8) - closes.view(np.int8), dtype=np.int32)
+    return int(depth.max(initial=0))
+
+
+def _parse_vector_json(data: bytes, path: Path) -> Any:
+    """The JSON document in a vector file's bytes; invalid or too deeply nested text exits 2.
+
+    The nesting scan comes first: orjson crashes the process on nesting in
+    the hundreds of thousands of levels.  Text that orjson refuses (NaN, a
+    number beyond float range, a lone surrogate escape, any error) goes to
+    ``json.loads``, which reads it or words the error.  orjson reads an
+    integer literal beyond 64 bits as the nearest float.
+    """
+    depth = _nesting_depth(data)
+    if depth > MAX_NESTING:
+        raise ArgumentError(
+            f"invalid JSON in {path}: nested {depth} levels deep (the limit is {MAX_NESTING})"
+        )
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError:
+        return _parse_json(_decode(data, path), str(path))
+
+
 def read_vectors(path: str | Path, fmt: str | None = None) -> UnitVectorSequence:
     path = Path(path)
     fmt = fmt or path.suffix.lstrip(".").lower()
-    text = _read_text(path)
+    data = path.read_bytes()
     if fmt == "json":
-        return _parse_json_vectors(_parse_json(text, str(path)))
+        return _parse_json_vectors(_parse_vector_json(data, path))
     if fmt == "csv":
-        return _parse_csv_vectors(text)
+        return _parse_csv_vectors(_decode(data, path))
     raise ArgumentError(f"unknown vector file format {fmt!r} (use json or csv)")
 
 
@@ -426,7 +481,7 @@ def write_report(path: str | Path, report: dict[str, Any]) -> None:
 
 
 def read_report(path: str | Path) -> dict[str, Any]:
-    report = _parse_json(_read_text(Path(path)), f"report {path}")
+    report = _parse_json(_decode(Path(path).read_bytes(), path), f"report {path}")
     try:
         _validate_report(report)
     except ValidationError as exc:

@@ -299,13 +299,11 @@ def _certified_partition(
 def feichtinger_partition(
     seq: UnitVectorSequence,
     bessel_override: float | None = None,
-    threads: int = 1,
 ) -> PartitionCertificate:
     """Partition into sigma-certified Riesz blocks via Schur bound + halving.
 
     Uses B = schur_bessel_bound, weight power 1 and m = required_levels(B);
-    every block then has sigma <= (B - 1) / 2^m < 1.  ``threads`` is
-    accepted and has no effect: blocks are certified in one thread.
+    every block then has sigma <= (B - 1) / 2^m < 1.
     """
     return _certified_partition(seq, "feichtinger", bessel_override)
 
@@ -313,12 +311,10 @@ def feichtinger_partition(
 def uniform_partition(
     seq: UnitVectorSequence,
     bessel_override: float | None = None,
-    threads: int = 1,
 ) -> PartitionCertificate:
     """Partition into uniformly separated blocks (eta < 1).
 
     Uses the spectral Bessel bound (the tightest valid B), weight power 2
     and m = required_levels(B); every block then has eta <= (B - 1) / 2^m < 1.
-    ``threads`` is accepted and has no effect.
     """
     return _certified_partition(seq, "uniform", bessel_override)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,7 @@ from frame_partition import (
     schur_bessel_bound,
     spectral_bessel_bound,
 )
+import frame_partition
 from frame_partition.cli import main
 from frame_partition.partition import halving_plan
 
@@ -190,6 +194,41 @@ class TestMalformedVectorFiles:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err and err.count("\n") == 1
+
+
+def run_process(*argv):
+    """Run the CLI in a child process, so that a crash fails the test, not pytest."""
+    src = str(Path(frame_partition.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", "frame_partition.cli", *argv], env=env, capture_output=True, text=True
+    )
+
+
+class TestNestingGuard:
+    """orjson crashes on nesting this deep; the structural scan must refuse it first."""
+
+    @pytest.mark.parametrize("data, depth", [
+        pytest.param(b"[" * 3_000_000 + b"]" * 3_000_000, 3_000_000, id="brackets"),
+        # a bracket count that ignored strings would read depth 0 here
+        pytest.param(b'["]",' * 1_000_000 + b"1" + b"]" * 1_000_000, 1_000_000,
+                     id="brackets_in_strings"),
+    ])
+    def test_deep_file_exits_2_with_one_line(self, tmp_path, data, depth):
+        path = tmp_path / "v.json"
+        path.write_bytes(data)
+        done = run_process("partition", str(path), "-o", str(tmp_path / "r.json"))
+        assert done.returncode == 2  # a signal would give a negative code
+        assert done.stderr.startswith("error: ") and f"nested {depth} levels" in done.stderr
+        assert "Traceback" not in done.stderr and done.stderr.count("\n") == 1
+
+    def test_brackets_in_a_label_still_read(self, tmp_path):
+        path = tmp_path / "v.json"
+        path.write_text(_vector_doc("real", 1, [[1.0]], labels=["[" * 5000]))
+        done = run_process("partition", str(path), "-o", str(tmp_path / "r.json"))
+        assert done.returncode == 0, done.stderr
+        assert read_vectors(path).labels == ("[" * 5000,)
 
 
 class TestCertify:

@@ -8,6 +8,7 @@ from unittest import mock
 
 import jsonschema
 import numpy as np
+import orjson
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from hypothesis.extra.numpy import arrays
 from frame_partition import (
     ArgumentError,
     CERTIFICATE_SCHEMA,
+    FramePartitionError,
     GeneratorSpec,
     NormViolation,
     UnitVectorSequence,
@@ -30,7 +32,7 @@ from frame_partition import (
     write_report,
     write_vectors,
 )
-from frame_partition.fileio import _conforms, _parse_json_vectors
+from frame_partition.fileio import _conforms, _nesting_depth, _parse_json_vectors
 
 import golden_reports
 from golden_digests import (
@@ -57,10 +59,27 @@ class TestVectorFiles:
         back = read_vectors(path)
         assert back.field == seq.field
         assert np.array_equal(back.vectors, seq.vectors)
-        if fmt == "json":  # compact, on one line
+        if fmt == "json":  # orjson's compact layout, on one line
             text = path.read_text()
-            assert text == json.dumps(json.loads(text)) + "\n"
-            assert text.count("\n") == 1
+            assert text.startswith('{"dim":6,"field":"%s","count":11,"vectors":[[' % field)
+            assert text == orjson.dumps(json.loads(text)).decode() + "\n"
+            assert text.count("\n") == 1 and " " not in text
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_edge_floats_round_trip(self, tmp_path, field):
+        # -0.0, the smallest subnormal and the largest float, in every position
+        edges = np.array([-0.0, 5e-324, 1.7976931348623157e308, -5e-324, 1e-05, 0.0])
+        vectors = np.empty((6, 6), dtype=np.complex128)
+        vectors.real = [np.roll(edges, k) for k in range(6)]
+        vectors.imag = vectors.real[::-1] if field == "complex" else 0.0
+        raw = SimpleNamespace(dim=6, n=6, field=field, vectors=vectors, labels=None)
+        path = tmp_path / "v.json"
+        write_vectors(path, raw)
+        assert parsed_vectors(lambda: read_vectors(path)).tobytes() == vectors.tobytes()
+        # and as unit vectors
+        seq = UnitVectorSequence(np.array([[-0.0, 1.0], [5e-324, 1.0], [1.0, -5e-324]]))
+        write_vectors(path, seq)
+        assert read_vectors(path).vectors.tobytes() == seq.vectors.tobytes()
 
     def test_json_preserves_labels(self, tmp_path):
         seq = UnitVectorSequence(np.eye(2), labels=("a", "b"))
@@ -267,26 +286,102 @@ def vector_docs(draw):
     return {"dim": dim, "field": field, "count": count, "vectors": rows}
 
 
+def parsed_vectors(parse):
+    """The complex128 array that ``parse()`` hands to UnitVectorSequence.
+
+    Parsing stops there: random cells are not unit vectors.
+    """
+    captured = []
+    with mock.patch(
+        "frame_partition.fileio.UnitVectorSequence",
+        lambda vectors, field, labels: captured.append(vectors),
+    ):
+        parse()
+    return np.array(captured[0], dtype=np.complex128)
+
+
+def reference_depth(text):
+    """Deepest array/object nesting of valid JSON text, one character at a time."""
+    depth = deepest = 0
+    in_string = escaped = False
+    for ch in text:
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+        elif ch == '"':
+            in_string = True
+        elif ch in "[{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif ch in "]}":
+            depth -= 1
+    return deepest
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(alphabet='[]{}"\\/ ,.:e0\n\t\u00e9\u2028'),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(alphabet='[]{}"\\e0'), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestNestingDepth:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(JSON_VALUES, st.sampled_from([None, 0, 2]), st.booleans())
+    def test_matches_reference_scan(self, value, indent, ensure_ascii):
+        text = json.dumps(value, indent=indent, ensure_ascii=ensure_ascii)
+        assert _nesting_depth(text.encode()) == reference_depth(text)
+
+    @pytest.mark.parametrize("text, depth", [
+        ('"\\\\"', 0),
+        ('["\\\\", [[]]]', 3),
+        ('["\\"[[", [1]]', 2),
+        ('["\\\\\\"[[", [1]]', 2),
+        ('{"[": {"]": []}}', 3),
+        ("", 0),
+    ])
+    def test_escapes(self, text, depth):
+        assert _nesting_depth(text.encode()) == reference_depth(text) == depth
+
+
 class TestParseDifferential:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(vector_docs())
     def test_matches_cell_by_cell_parse(self, doc):
-        # stop at the parsed array: random cells are not unit vectors
-        captured = []
         expected = reference_cells(doc["vectors"], doc["count"], doc["dim"], doc["field"])
         try:
-            with mock.patch(
-                "frame_partition.fileio.UnitVectorSequence",
-                lambda vectors, field, labels: captured.append(vectors),
-            ):
-                _parse_json_vectors(doc)
+            got = parsed_vectors(lambda: _parse_json_vectors(doc))
         except ArgumentError as exc:
             assert str(exc) == expected
         else:
             assert not isinstance(expected, str)
-            got = np.array(captured[0], dtype=np.complex128)
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(vector_docs())
+    def test_file_read_matches_json_loads(self, tmp_path_factory, doc):
+        # orjson reads the file; json.loads is the reference
+        text = json.dumps(doc)
+        path = tmp_path_factory.mktemp("docs") / "v.json"
+        path.write_text(text)
+        outcomes = []
+        for parse in (lambda: read_vectors(path), lambda: _parse_json_vectors(json.loads(text))):
+            try:
+                got = parsed_vectors(parse)
+                outcomes.append((got.shape, got.tobytes()))
+            except FramePartitionError:
+                outcomes.append(FramePartitionError)
+        assert outcomes[0] == outcomes[1]
 
 
 class TestGoldenDigests:

@@ -344,10 +344,6 @@ class TestFeichtingerPartition:
                 bessel_override=2.0,
             )
 
-    def test_threads_do_not_change_result(self):
-        seq = generate(GeneratorSpec("random_unit", dim=8, count=32, seed=9, field="complex"))
-        assert feichtinger_partition(seq, threads=1) == feichtinger_partition(seq, threads=4)
-
     def test_single_vector(self):
         cert = feichtinger_partition(UnitVectorSequence(np.array([[1.0, 0.0]])))
         assert cert.partition.blocks == ((0,),)
