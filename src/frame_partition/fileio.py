@@ -318,12 +318,14 @@ def _parse_json_vectors(doc: Any) -> UnitVectorSequence:
     if not isinstance(doc, dict):
         raise ArgumentError("vector file must contain a JSON object")
     try:
-        dim = int(doc["dim"])
-        field = str(doc["field"])
-        count = int(doc["count"])
-        rows = doc["vectors"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ArgumentError(f"malformed vector file header: {exc}") from exc
+        dim, field, count, rows = doc["dim"], doc["field"], doc["count"], doc["vectors"]
+    except KeyError as exc:
+        raise ArgumentError(f"malformed vector file header: missing {exc}") from exc
+    if not (_is_index(dim) and _is_index(count) and type(field) is str):
+        raise ArgumentError(
+            "malformed vector file header: dim and count must be integers >= 0 and field a string"
+        )
+    dim, count = int(dim), int(count)
     _check_shape(dim, count)
     if not isinstance(rows, list) or len(rows) != count:
         raise ArgumentError("vector count does not match header")

@@ -5,6 +5,12 @@ linear in the first argument and conjugate-linear in the second.  Real-mode
 data is stored with zero imaginary parts and goes through the same complex
 code path; only the Gram matrix's factor (``GramMatrix.factor``) is kept
 in float64 for it.
+
+Input is validated once, where it comes in.  The public constructors
+(``UnitVectorSequence``, ``GramMatrix(entries)``, ``WeightMatrix(entries)``)
+check every invariant; ``gram`` and ``weight_matrix`` build trusted
+instances without re-checking, because what they compute from a validated
+sequence holds the invariants by construction.
 """
 
 from __future__ import annotations
@@ -26,9 +32,7 @@ from .errors import (
 # Acceptance tolerance for "unit" vectors; ingestion offers an explicit
 # renormalize flag instead of silently rescaling.
 UNIT_NORM_TOL = 1e-9
-# Gram matrices are PSD up to dense float64 round-off.
-PSD_TOL = 1e-10
-# Elementwise Hermitian tolerance for matrices handed to the eigensolver.
+# Elementwise Hermitian tolerance for a Gram matrix given to the constructor.
 HERMITIAN_TOL = 1e-12
 
 FIELDS = ("real", "complex")
@@ -135,17 +139,12 @@ class GramMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def submatrix(self, block: Sequence[int]) -> np.ndarray:
-        idx = np.asarray(block, dtype=int)
-        return self.entries[np.ix_(idx, idx)]
-
 
 @dataclass(frozen=True)
 class WeightMatrix:
     """Symmetric nonnegative matrix with zero diagonal; entries |G_ij|^power."""
 
     entries: np.ndarray
-    power: int = 1
 
     def __post_init__(self) -> None:
         a = np.array(self.entries, dtype=np.float64)
@@ -159,53 +158,43 @@ class WeightMatrix:
             raise WeightMatrixError("weight matrix has negative entries")
         if np.any(np.diagonal(a) != 0.0):
             raise WeightMatrixError("weight matrix diagonal must be zero")
-        if self.power not in (1, 2):
-            raise ArgumentError(f"power must be 1 or 2, got {self.power!r}")
         object.__setattr__(self, "entries", _freeze(a))
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 def gram(seq: UnitVectorSequence) -> GramMatrix:
     """Gram matrix of the sequence; Hermitian by construction.
 
     The upper triangle is computed and mirrored, so G[i][j] == conj(G[j][i])
-    holds exactly; the diagonal is set to the real squared norms.
+    holds exactly; the diagonal is set to the real squared norms.  The
+    vectors are finite with norms within ``UNIT_NORM_TOL`` of 1, so every
+    entry is finite, and the result is not checked again.
     """
     v = seq.vectors
     full = v @ v.conj().T
     upper = np.triu(full, 1)
     g = upper + upper.conj().T
     g[np.diag_indices_from(g)] = np.linalg.norm(v, axis=1) ** 2
-    out = GramMatrix(g)
+    out = object.__new__(GramMatrix)
+    object.__setattr__(out, "entries", _freeze(g))
     # real-mode vectors have zero imaginary parts: real arithmetic is a quarter of the work
     object.__setattr__(out, "factor", np.ascontiguousarray(v.real) if seq.field == "real" else v)
     return out
 
 
 def weight_matrix(g: GramMatrix, power: int = 1) -> WeightMatrix:
-    """Off-diagonal |G_ij|^power with zero diagonal; symmetric exactly."""
+    """Off-diagonal |G_ij|^power with zero diagonal; symmetric exactly.
+
+    A Gram from ``gram`` is exactly Hermitian and |conj z| == |z| exactly,
+    so its weight matrix is not checked again.  A Gram given to the public
+    constructor (it has no ``factor``) is Hermitian only within
+    ``HERMITIAN_TOL``, and its weight matrix goes through ``WeightMatrix``.
+    """
     if power not in (1, 2):
         raise ArgumentError(f"power must be 1 or 2, got {power!r}")
     a = np.abs(g.entries) ** power
     np.fill_diagonal(a, 0.0)
-    return WeightMatrix(a, power=power)
-
-
-def hermitian_eigenvalues(m: np.ndarray | GramMatrix) -> np.ndarray:
-    """Full real spectrum of a Hermitian matrix, ascending.
-
-    A ``GramMatrix`` was checked finite and Hermitian when it was built.
-    """
-    if isinstance(m, GramMatrix):
-        return np.linalg.eigvalsh(m.entries)
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ArgumentError("matrix contains NaN or Inf entries")
-    if a.size and np.max(np.abs(a - a.conj().T)) > HERMITIAN_TOL:
-        raise SymmetryViolation("matrix is not Hermitian within 1e-12")
-    return np.linalg.eigvalsh(a)
+    if g.factor is None:
+        return WeightMatrix(a)
+    out = object.__new__(WeightMatrix)
+    object.__setattr__(out, "entries", _freeze(a))
+    return out

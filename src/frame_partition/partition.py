@@ -32,7 +32,7 @@ from .analysis import (
     schur_bessel_bound,
     spectral_bessel_bound,
 )
-from .errors import ArgumentError, TooLargeForOracle, WeightMatrixError
+from .errors import ArgumentError, TooLargeForOracle
 from .linalg import UnitVectorSequence, WeightMatrix, gram, weight_matrix
 
 MODES = ("feichtinger", "uniform")

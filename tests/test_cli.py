@@ -170,6 +170,13 @@ MALFORMED_VECTOR_FILES = [
     ("huge_int_cell.json", _vector_doc("real", 1, [[10**400]])),
     ("labels_not_list.json", _vector_doc("real", 1, [[1.0]], labels=5)),
     ("negative_dim.json", json.dumps({"dim": -1, "field": "real", "count": 1, "vectors": [[1.0]]})),
+    # header numbers must be integers (2.0 counts), never bools or strings
+    ("fractional_dim.json", json.dumps({"dim": 2.7, "field": "real", "count": 1,
+                                        "vectors": [[0.6, 0.8]]})),
+    ("bool_header.json", json.dumps({"dim": True, "field": "real", "count": True,
+                                     "vectors": [[1.0]]})),
+    ("string_header.json", json.dumps({"dim": "2", "field": "real", "count": "2",
+                                       "vectors": [[1.0, 0.0], [0.0, 1.0]]})),
     ("negative_dim.csv", "dim,field,count\n-1,real,1\n1.0\n"),
     # a count x dim allocation would need 16 TB: rows are checked first
     ("huge_dim.json", json.dumps({"dim": 10**12, "field": "real", "count": 1,

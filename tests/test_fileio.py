@@ -231,7 +231,8 @@ class TestDigestDifferential:
     @given(raw_vectors(), st.booleans())
     def test_unit_sequences_match_reference(self, raw, transpose):
         v = raw.vectors.T if transpose else raw.vectors
-        norms = np.linalg.norm(v, axis=1)
+        with np.errstate(over="ignore"):  # coordinates near 1.8e308 overflow the norm
+            norms = np.linalg.norm(v, axis=1)
         assume(np.all(np.isfinite(norms)) and np.all(norms > 1e-150))
         seq = UnitVectorSequence.from_vectors(v, field=raw.field, renormalize=True)
         assert seq.vectors.flags.c_contiguous

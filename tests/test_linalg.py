@@ -6,12 +6,7 @@ import pytest
 from frame_partition import ArgumentError, NormViolation, UnitVectorSequence, gram
 from frame_partition.errors import SymmetryViolation, WeightMatrixError
 from frame_partition.generators import GeneratorSpec, generate
-from frame_partition.linalg import (
-    GramMatrix,
-    WeightMatrix,
-    hermitian_eigenvalues,
-    weight_matrix,
-)
+from frame_partition.linalg import GramMatrix, WeightMatrix, weight_matrix
 
 
 def seq_from(rows, **kw):
@@ -99,17 +94,23 @@ class TestGram:
         g = gram(seq_from([[1.0, 0.0], [c, s]]))
         np.testing.assert_allclose(g.entries.real, [[1, 0.5], [0.5, 1]], atol=1e-15)
 
-    def test_hermitian_exactly(self):
-        seq = generate(GeneratorSpec("random_unit", dim=5, count=9, seed=3, field="complex"))
-        g = gram(seq)
-        assert np.array_equal(g.entries, g.entries.conj().T)
+    def test_hermitian_exactly(self, corpus):
+        # gram() does not re-check what it builds: the invariants hold by construction
+        assert {seq.field for _, seq in corpus} == {"real", "complex"}
+        for _, seq in corpus:
+            g = gram(seq)
+            assert g.entries.dtype == np.complex128 and not g.entries.flags.writeable
+            assert np.array_equal(g.entries, g.entries.conj().T)
+            assert np.all(np.isfinite(g.entries))
+            checked = GramMatrix(g.entries)
+            assert checked.entries.tobytes() == g.entries.tobytes()
 
     def test_positive_semidefinite(self):
         for seed in range(5):
             seq = generate(
                 GeneratorSpec("random_unit", dim=4, count=10, seed=seed, field="complex")
             )
-            eigs = hermitian_eigenvalues(gram(seq))
+            eigs = np.linalg.eigvalsh(gram(seq).entries)
             assert eigs[0] >= -1e-10
 
     @pytest.mark.parametrize("field", ["real", "complex"])
@@ -146,11 +147,25 @@ class TestWeightMatrix:
                     # scalar and vectorized complex abs may differ in the last ulp
                     assert abs(w.entries[i, j] - expected) <= 1e-15
 
-    def test_symmetric_zero_diagonal_exactly(self):
-        seq = generate(GeneratorSpec("random_unit", dim=4, count=8, seed=2, field="complex"))
-        w = weight_matrix(gram(seq), power=1)
-        assert np.array_equal(w.entries, w.entries.T)
-        assert np.all(np.diagonal(w.entries) == 0.0)
+    def test_symmetric_zero_diagonal_exactly(self, corpus):
+        # weight_matrix() does not re-check what it builds from gram()
+        assert {seq.field for _, seq in corpus} == {"real", "complex"}
+        for _, seq in corpus:
+            g = gram(seq)
+            for power in (1, 2):
+                w = weight_matrix(g, power)
+                assert w.entries.dtype == np.float64 and not w.entries.flags.writeable
+                assert np.array_equal(w.entries, w.entries.T)
+                assert np.all(np.isfinite(w.entries)) and np.all(w.entries >= 0.0)
+                assert np.all(np.diagonal(w.entries) == 0.0)
+                checked = WeightMatrix(w.entries)
+                assert checked.entries.tobytes() == w.entries.tobytes()
+
+    def test_from_public_gram_checked(self):
+        # Hermitian within HERMITIAN_TOL passes GramMatrix, but the weights would not be symmetric
+        g = GramMatrix(np.array([[1.0, 0.5], [0.5 + 1e-13, 1.0]]))
+        with pytest.raises(WeightMatrixError):
+            weight_matrix(g)
 
     def test_bad_power(self):
         with pytest.raises(ArgumentError):
@@ -196,26 +211,17 @@ class TestOperators:
                 rhs = np.sum(c * (v.conj() @ x).conj())
                 assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
             frame_op = np.linalg.eigvalsh(v.conj().T @ v)
-            nonzero = hermitian_eigenvalues(g)[-5:]
+            nonzero = np.linalg.eigvalsh(g.entries)[-5:]
             np.testing.assert_allclose(frame_op, nonzero, rtol=1e-12, atol=1e-12)
 
 
 class TestHermitianEigenvalues:
-    def test_identity(self):
-        np.testing.assert_array_equal(hermitian_eigenvalues(np.eye(4)), np.ones(4))
-
-    def test_rank_one_pair(self):
-        eigs = hermitian_eigenvalues(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        np.testing.assert_allclose(eigs, [0.0, 2.0], atol=1e-14)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(SymmetryViolation):
-            hermitian_eigenvalues(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    """The LAPACK Hermitian eigensolver that ``analysis.block_spectrum`` relies on."""
 
     def test_matches_characteristic_polynomial_oracle(self):
         seq = generate(GeneratorSpec("random_unit", dim=6, count=8, seed=21, field="complex"))
         g = gram(seq).entries
-        eigs = hermitian_eigenvalues(g)
+        eigs = np.linalg.eigvalsh(g)
         oracle = np.sort(np.roots(np.poly(g)).real)
         np.testing.assert_allclose(eigs, oracle, atol=1e-8)
 
