@@ -22,6 +22,7 @@ from .analysis import (
 from .errors import ArgumentError, FramePartitionError, NormViolation
 from .fileio import (
     CERTIFICATE_SCHEMA,
+    TOOL_VERSION as __version__,
     build_report,
     read_report,
     read_vectors,
@@ -33,8 +34,6 @@ from .fileio import (
 from .generators import KINDS, GeneratorSpec, generate
 from .linalg import UnitVectorSequence, gram
 from .partition import feichtinger_partition, uniform_partition
-
-__version__ = "0.1.0"
 
 __all__ = [
     "ArgumentError",

@@ -7,8 +7,9 @@ are written and read through orjson, after a scan that refuses structural
 nesting deeper than ``MAX_NESTING``; what orjson refuses is read by
 ``json.loads``, so a file means what it means to ``json``.  Certificate
 reports stay on ``json``: they must hold integers beyond 64 bits and NaN as
-written.  They are validated against a published schema and bound to their
-input by a content digest.
+written.  They are checked against the published ``CERTIFICATE_SCHEMA`` by a
+direct encoding of it, ``_schema_error``, which names where a report breaks
+the schema, and they are bound to their input by a content digest.
 """
 
 from __future__ import annotations
@@ -18,13 +19,13 @@ import hashlib
 import json
 import math
 import re
+import reprlib
+from collections.abc import KeysView
 from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
 import orjson
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import ValidationError, best_match
 
 from . import analysis
 from .errors import ArgumentError
@@ -112,15 +113,12 @@ CERTIFICATE_SCHEMA: dict[str, Any] = {
     "additionalProperties": False,
 }
 
-# Built once: jsonschema.validate would check the meta-schema on every call.
-_REPORT_VALIDATOR = Draft202012Validator(CERTIFICATE_SCHEMA)
-
 _BLOCK_SCHEMA = CERTIFICATE_SCHEMA["properties"]["blocks"]["items"]
-_REPORT_KEYS = frozenset(CERTIFICATE_SCHEMA["required"])
-_BOUND_KEYS = frozenset(CERTIFICATE_SCHEMA["properties"]["global_bounds"]["required"])
 _BLOCK_FIELDS = _BLOCK_SCHEMA["required"]  # analysis.BlockCertificate's fields, in order
-_BLOCK_KEYS = frozenset(_BLOCK_FIELDS)
-_BLOCK_NUMBERS = [k for k, v in _BLOCK_SCHEMA["properties"].items() if v.get("type") == "number"]
+# Each object's keys in schema order, compared as a set.
+_REPORT_KEYS = dict.fromkeys(CERTIFICATE_SCHEMA["required"]).keys()
+_BOUND_KEYS = dict.fromkeys(CERTIFICATE_SCHEMA["properties"]["global_bounds"]["required"]).keys()
+_BLOCK_KEYS = dict.fromkeys(_BLOCK_FIELDS).keys()
 _DIGEST = re.compile(CERTIFICATE_SCHEMA["properties"]["input_digest"]["pattern"])
 _MODES = CERTIFICATE_SCHEMA["properties"]["mode"]["enum"]
 _VERSIONS = CERTIFICATE_SCHEMA["properties"]["schema_version"]["enum"]
@@ -135,62 +133,95 @@ def _is_index(x: Any) -> bool:
     return (type(x) is int or (type(x) is float and x.is_integer())) and not x < 0
 
 
-def _conforms(report: Any) -> bool:
-    """True only for a report that CERTIFICATE_SCHEMA accepts.
+# The report's scalar properties as (key, test, what the value must be), in schema order.
+_REPORT_RULES = [
+    ("schema_version", lambda x: _is_number(x) and x in _VERSIONS, f"one of {_VERSIONS}"),
+    ("tool_version", lambda x: type(x) is str, "a string"),
+    ("input_digest", lambda x: type(x) is str and _DIGEST.search(x) is not None,
+     "64 lowercase hex digits"),
+    ("mode", lambda x: type(x) is str and x in _MODES, f"one of {_MODES}"),
+    ("levels", _is_index, "an integer >= 0"),
+    ("target", _is_number, "a number"),
+    ("all_certified", lambda x: type(x) is bool, "a boolean"),
+    ("borderline", lambda x: type(x) is bool, "a boolean"),
+]
+# A block's scalar properties as (key, the Python types JSON gives its values, what it must be).
+_TYPES = {"number": ({int, float}, "a number"), "boolean": ({bool}, "a boolean")}
+_BLOCK_RULES = [
+    (key, *_TYPES[rule["type"]])
+    for key, rule in _BLOCK_SCHEMA["properties"].items()
+    if key != "indices"
+]
 
-    A direct encoding of the schema under draft 2020-12 rules (exact key
-    sets, ``const``/``enum``, the digest pattern by ``re.search``, integral
-    floats as integers, ``minimum`` and ``minItems``), written for the
-    reports this program builds.  False does not mean invalid: anything it
-    does not recognise is left to jsonschema.
+
+def _expected(path: str, what: str, value: Any) -> str:
+    return f"{path + ': ' if path else ''}expected {what}, got {reprlib.repr(value)}"
+
+
+def _object_error(path: str, doc: Any, keys: KeysView[str] | None) -> str | None:
+    """Where ``doc`` is not an object with exactly ``keys`` (any keys for None)."""
+    if type(doc) is not dict:
+        return _expected(path, "an object", doc)
+    if keys is None or doc.keys() == keys:
+        return None
+    where = f"{path}: " if path else ""
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        return f"{where}missing key {missing[0]!r}"
+    return f"{where}unexpected key {next(key for key in doc if key not in keys)!r}"
+
+
+def _numbers_error(path: str, doc: dict) -> str | None:
+    for key, value in doc.items():
+        if not _is_number(value):
+            name = f".{key}" if type(key) is str and key.isidentifier() else f"[{key!r}]"
+            return _expected(path + name, "a number", value)
+    return None
+
+
+def _schema_error(report: Any) -> str | None:
+    """Where ``report`` breaks CERTIFICATE_SCHEMA, in one line; None when it conforms.
+
+    A direct encoding of the schema under draft 2020-12 rules: exact key
+    sets, ``enum`` (a bool is not 1), the digest pattern by ``re.search``
+    (so ``$`` also matches before a final newline), integral floats as
+    integers, ``minimum`` and ``minItems``.  The message names the JSON
+    path of the first value found to break a rule, and the rule.
     """
-    if type(report) is not dict or report.keys() != _REPORT_KEYS:
-        return False
-    bounds, blocks, timings = report["global_bounds"], report["blocks"], report["timings"]
-    if not (
-        _is_number(report["schema_version"])
-        and report["schema_version"] in _VERSIONS
-        and type(report["tool_version"]) is str
-        and type(report["input_digest"]) is str
-        and _DIGEST.search(report["input_digest"])
-        and report["mode"] in _MODES
-        and type(bounds) is dict
-        and bounds.keys() == _BOUND_KEYS
-        and all(_is_number(v) for v in bounds.values())
-        and _is_index(report["levels"])
-        and _is_number(report["target"])
-        and type(blocks) is list
-        and blocks
-        and type(report["all_certified"]) is bool
-        and type(report["borderline"]) is bool
-        and type(timings) is dict
-        and all(_is_number(v) for v in timings.values())
+    if error := _object_error("", report, _REPORT_KEYS):
+        return error
+    for key, ok, what in _REPORT_RULES:
+        if not ok(report[key]):
+            return _expected(key, what, report[key])
+    bounds, timings, blocks = report["global_bounds"], report["timings"], report["blocks"]
+    if error := (
+        _object_error("global_bounds", bounds, _BOUND_KEYS)
+        or _object_error("timings", timings, None)
+        or _numbers_error("global_bounds", bounds)
+        or _numbers_error("timings", timings)
     ):
-        return False
-    return all(
-        type(block) is dict
-        and block.keys() == _BLOCK_KEYS
-        and type(block["indices"]) is list
-        and block["indices"]
-        and all(_is_index(i) for i in block["indices"])
-        and all(_is_number(block[key]) for key in _BLOCK_NUMBERS)
-        and type(block["certified"]) is bool
-        and type(block["borderline"]) is bool
-        for block in blocks
-    )
+        return error
+    if type(blocks) is not list or not blocks:
+        return _expected("blocks", "a nonempty array", blocks)
+    for i, block in enumerate(blocks):
+        if error := _object_error(f"blocks[{i}]", block, _BLOCK_KEYS):
+            return error
+        indices = block["indices"]
+        if type(indices) is not list or not indices:
+            return _expected(f"blocks[{i}].indices", "a nonempty array", indices)
+        for j, x in enumerate(indices):
+            if not (type(x) is int and x >= 0 or _is_index(x)):  # a plain int needs no call
+                return _expected(f"blocks[{i}].indices[{j}]", "an integer >= 0", x)
+        for key, types, what in _BLOCK_RULES:
+            if type(block[key]) not in types:
+                return _expected(f"blocks[{i}].{key}", what, block[key])
+    return None
 
 
-def _validate_report(report: Any) -> None:
-    """Raise jsonschema's best-matching error unless the report fits the schema.
-
-    ``_conforms`` passes the reports this program writes at a fraction of
-    jsonschema's cost; jsonschema decides and words every rejection.
-    """
-    if _conforms(report):
-        return
-    error = best_match(_REPORT_VALIDATOR.iter_errors(report))
+def _check_report(report: Any) -> None:
+    error = _schema_error(report)
     if error is not None:
-        raise error
+        raise ArgumentError(f"report does not match the certificate schema: {error}")
 
 
 def sequence_digest(seq: UnitVectorSequence, version: int = SCHEMA_VERSION) -> str:
@@ -477,17 +508,14 @@ def build_report(
 
 
 def write_report(path: str | Path, report: dict[str, Any]) -> None:
-    _validate_report(report)
+    _check_report(report)
     # compact: with indent, json runs its pure-Python encoder instead of the C one
     Path(path).write_text(json.dumps(report) + "\n")
 
 
 def read_report(path: str | Path) -> dict[str, Any]:
     report = _parse_json(_decode(Path(path).read_bytes(), path), f"report {path}")
-    try:
-        _validate_report(report)
-    except ValidationError as exc:
-        raise ArgumentError(f"report does not match the certificate schema: {exc.message}") from exc
+    _check_report(report)
     return report
 
 

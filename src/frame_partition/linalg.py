@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,8 +28,8 @@ from .errors import (
     WeightMatrixError,
 )
 
-# Acceptance tolerance for "unit" vectors; ingestion offers an explicit
-# renormalize flag instead of silently rescaling.
+# Acceptance tolerance for "unit" vectors; a vector outside it is refused,
+# never rescaled.
 UNIT_NORM_TOL = 1e-9
 # Elementwise Hermitian tolerance for a Gram matrix given to the constructor.
 HERMITIAN_TOL = 1e-12
@@ -71,36 +70,6 @@ class UnitVectorSequence:
         if bad.size:
             raise NormViolation(bad[0], norms[bad[0]], tuple(int(i) for i in bad))
         object.__setattr__(self, "vectors", _freeze(v))
-
-    @classmethod
-    def from_vectors(
-        cls,
-        vectors: Iterable[Sequence[complex]],
-        field: str | None = None,
-        renormalize: bool = False,
-        labels: Sequence[str] | None = None,
-    ) -> "UnitVectorSequence":
-        v = np.array(list(vectors), dtype=np.complex128)
-        if v.ndim != 2:
-            raise DimensionError("vectors must form a rectangular 2-d array")
-        if field is None:
-            field = "real" if np.all(v.imag == 0.0) else "complex"
-        if renormalize:
-            # checked here too: scaling a NaN or Inf warns before __post_init__ refuses it
-            if not np.all(np.isfinite(v)):
-                raise ArgumentError("vectors contain NaN or Inf entries")
-            # Bring each row's largest real or imaginary part into [0.5, 1)
-            # by an exact power-of-two scaling, so that the norm of a finite
-            # nonzero row neither overflows nor underflows to zero.
-            parts = v.view(np.float64)
-            _, e = np.frexp(np.abs(parts).max(axis=1, initial=0.0))
-            v = np.ldexp(parts, -e[:, None]).view(np.complex128)
-            norms = np.linalg.norm(v, axis=1)
-            zero = np.nonzero(norms == 0.0)[0]
-            if zero.size:
-                raise NormViolation(zero[0], 0.0, tuple(int(i) for i in zero))
-            v = v / norms[:, None]
-        return cls(v, field=field, labels=tuple(labels) if labels is not None else None)
 
     @property
     def n(self) -> int:

@@ -203,14 +203,17 @@ class TestMalformedVectorFiles:
         assert "Traceback" not in err and err.count("\n") == 1
 
 
-def run_process(*argv):
-    """Run the CLI in a child process, so that a crash fails the test, not pytest."""
+def run_python(*argv):
+    """Run Python in a child process that imports this package from this checkout."""
     src = str(Path(frame_partition.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run(
-        [sys.executable, "-m", "frame_partition.cli", *argv], env=env, capture_output=True, text=True
-    )
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+
+
+def run_process(*argv):
+    """Run the CLI in a child process, so that a crash fails the test, not pytest."""
+    return run_python("-m", "frame_partition.cli", *argv)
 
 
 class TestNestingGuard:
@@ -537,6 +540,70 @@ class TestCertify:
         report["blocks"][0]["sigma"] += 1e-12
         rep.write_text(json.dumps(report))
         assert run("certify", str(vec), str(rep), "--tol", "1e-6") == 0
+
+
+SCHEMA_BREAKS = [
+    pytest.param(lambda r: r.pop("levels"), "missing key 'levels'", id="missing_key"),
+    pytest.param(lambda r: r.update(extra=1), "unexpected key 'extra'", id="unexpected_key"),
+    pytest.param(lambda r: r["blocks"][0].update(sigma="0.5"), "blocks[0].sigma: ",
+                 id="string_sigma"),
+    pytest.param(lambda r: r.update(levels=True), "levels: ", id="bool_levels"),
+    pytest.param(lambda r: r.update(input_digest=r["input_digest"].upper()), "input_digest: ",
+                 id="uppercase_digest"),
+    pytest.param(lambda r: r.update(blocks=[]), "blocks: ", id="empty_blocks"),
+]
+
+
+class TestMalformedReports:
+    @pytest.mark.parametrize("edit, named", SCHEMA_BREAKS)
+    def test_certify_exits_2_with_one_line(self, tmp_path, capsys, edit, named):
+        vec, rep = TestCertify().make_pair(tmp_path)
+        report = json.loads(rep.read_text())
+        edit(report)
+        rep.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run("certify", str(vec), str(rep)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: report does not match the certificate schema: ")
+        assert named in captured.err and captured.err.count("\n") == 1
+
+
+# Every command in both modes, and one schema error, in a process that cannot import jsonschema.
+WITHOUT_JSONSCHEMA = """
+import json, sys
+sys.modules["jsonschema"] = None  # an import of jsonschema now raises ImportError
+from frame_partition.cli import main
+
+vec, out = sys.argv[1:]
+assert main(["generate", "--kind", "random_unit", "--dim", "4", "--count", "12",
+             "--seed", "3", "--field", "complex", "-o", vec]) == 0
+for mode in ("feichtinger", "uniform"):
+    rep = f"{out}.{mode}.json"
+    assert main(["partition", vec, "--mode", mode, "-o", rep]) == 0
+    assert main(["certify", vec, rep]) == 0
+report = json.load(open(rep))
+report["levels"] = True
+json.dump(report, open(rep, "w"))
+assert main(["certify", vec, rep]) == 2
+"""
+
+
+class TestWithoutJsonschema:
+    def test_commands_run(self, tmp_path):
+        done = run_python("-c", WITHOUT_JSONSCHEMA, str(tmp_path / "v.json"), str(tmp_path / "r"))
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == (
+            "error: report does not match the certificate schema: "
+            "levels: expected an integer >= 0, got True\n"
+        )
+
+    def test_cli_import_leaves_jsonschema_out(self):
+        done = run_python(
+            "-c", "import sys, frame_partition.cli; print('jsonschema' in sys.modules)"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
 
 
 # Reports written by an earlier release (schema_version 1, repr-payload digest)

@@ -9,8 +9,10 @@ from frame_partition.generators import GeneratorSpec, generate
 from frame_partition.linalg import GramMatrix, WeightMatrix, weight_matrix
 
 
-def seq_from(rows, **kw):
-    return UnitVectorSequence.from_vectors(rows, **kw)
+def seq_from(rows, field=None):
+    """A sequence of ``rows``, in real mode when no row has an imaginary part."""
+    v = np.array(rows, dtype=np.complex128)
+    return UnitVectorSequence(v, field=field or ("real" if np.all(v.imag == 0.0) else "complex"))
 
 
 class TestUnitVectorSequence:
@@ -29,31 +31,6 @@ class TestUnitVectorSequence:
             seq_from([[2.0, 0.0], [1.0, 0.0], [0.0, 3.0]])
         assert err.value.indices == (0, 2)
 
-    def test_renormalize_flag(self):
-        seq = seq_from([[3.0, 4.0]], renormalize=True)
-        np.testing.assert_allclose(np.linalg.norm(seq.vectors[0]), 1.0, atol=1e-15)
-
-    def test_renormalize_rejects_zero_vector(self):
-        with pytest.raises(NormViolation):
-            seq_from([[0.0, 0.0]], renormalize=True)
-
-    @pytest.mark.parametrize("scale", [1e200, 1e-200, 5e-324, 1e308])
-    def test_renormalize_huge_and_tiny_rows(self, scale):
-        seq = seq_from([[scale, scale], [1.0, 0.0]], renormalize=True)
-        np.testing.assert_allclose(seq.vectors[0], np.full(2, np.sqrt(0.5)), rtol=1e-15)
-        assert np.array_equal(seq.vectors[1], [1.0, 0.0])
-
-    def test_renormalize_rejects_zero_row_among_others(self):
-        with pytest.raises(NormViolation) as err:
-            seq_from([[1e-200, 0.0], [0.0, 0.0]], renormalize=True)
-        assert err.value.indices == (1,)
-
-    def test_renormalize_matches_plain_division(self):
-        rng = np.random.Generator(np.random.PCG64(4))
-        v = rng.standard_normal((40, 6)) + 1j * rng.standard_normal((40, 6))
-        seq = seq_from(v, renormalize=True)
-        assert np.array_equal(seq.vectors, v / np.linalg.norm(v, axis=1)[:, None])
-
     def test_real_mode_rejects_imaginary_parts(self):
         with pytest.raises(ArgumentError):
             UnitVectorSequence(np.array([[1j]]), field="real")
@@ -63,14 +40,17 @@ class TestUnitVectorSequence:
             seq_from([[np.nan, 0.0]])
 
     @pytest.mark.parametrize("row", [[np.inf, 0.0], [np.nan, 1.0], [complex(0.0, -np.inf), 1.0]])
-    @pytest.mark.parametrize("renormalize", [False, True])
-    def test_rejects_non_finite_without_warning(self, row, renormalize):
+    @pytest.mark.parametrize("real", [False, True])
+    def test_rejects_non_finite_without_warning(self, row, real):
+        # in real mode too, before the imaginary parts and the norms are looked at
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ArgumentError, match="^vectors contain NaN or Inf entries$"):
-                seq_from([row, [1.0, 0.0]], renormalize=renormalize)
+                seq_from([row, [1.0, 0.0]], field="real" if real else "complex")
 
     def test_field_inferred(self):
+        # the constructor defaults to complex; real mode is asked for, here by seq_from
+        assert UnitVectorSequence(np.eye(2)).field == "complex"
         assert seq_from([[1.0, 0.0]]).field == "real"
         assert seq_from([[1j, 0.0]]).field == "complex"
 
