@@ -14,16 +14,17 @@ included).  They differ by design: the Schur bound sums over all entries
 while sigma omits the diagonal, so for unit vectors schur_bound = sigma-ish
 row sums + 1.
 
-Every spectrum (the spectral bound, and each block's lambda_min and
-lambda_max) comes from ``block_spectrum``, so ``partition``, ``analyze``
-and ``certify`` share one rule.  For a Gram matrix built by ``gram`` it
-diagonalizes the smaller side: a block of k vectors in dimension d < k
-has the d x d frame operator V_b* V_b, whose nonzero spectrum is the block
-Gram's, and rank at most d < k, so lambda_min is 0.0 exactly.
+``partition``, ``certify`` and ``riesz_certificate`` take every block's
+numbers from ``certify_blocks``, and every spectrum comes from ``_spectra``.
+For a Gram matrix built by ``gram`` it diagonalizes the smaller side: a
+block of k vectors in dimension d < k has the d x d frame operator
+V_b* V_b, whose nonzero spectrum is the block Gram's, and rank at most
+d < k, so lambda_min is 0.0 exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -48,29 +49,27 @@ def normalize_block(n: int, block: Iterable[int] | None) -> np.ndarray:
     return idx
 
 
-def block_spectrum(
-    g: GramMatrix, sub: np.ndarray, idx: np.ndarray | None = None
-) -> tuple[float, float]:
-    """``(lambda_min, lambda_max)`` of the block Gram ``sub`` = G[idx, idx].
+def _spectra(g: GramMatrix, idx: np.ndarray, subs: np.ndarray) -> tuple[list, list]:
+    """``lambda_min`` and ``lambda_max`` of each block Gram ``subs[b]`` = G[idx[b], idx[b]].
 
-    ``idx`` None means the whole index set, with ``sub`` = G.  When the
-    block has more vectors than ``g.factor`` has columns, lambda_max comes
-    from the d x d frame operator of the block's rows and lambda_min is 0.0
-    exactly (the rank is at most d); otherwise ``sub`` is diagonalized.
-    The submatrix of a ``GramMatrix`` is Hermitian by construction, so it is
-    not re-checked.
+    One ``eigvalsh`` call covers the (r, k, k) stack, or the d x d frame
+    operators when k > d.  Each matrix gets the bits it gets alone.
     """
     v = g.factor
-    if v is not None and sub.shape[0] > v.shape[1]:
-        rows = v if idx is None else v.take(idx, axis=0)
-        return 0.0, float(np.linalg.eigvalsh(rows.conj().T @ rows)[-1])
-    eigs = np.linalg.eigvalsh(sub)
-    return float(eigs[0]), float(eigs[-1])
+    if v is not None and subs.shape[1] > v.shape[1]:
+        rows = v.take(idx, axis=0)
+        top = np.linalg.eigvalsh(np.swapaxes(rows.conj(), 1, 2) @ rows)[:, -1].tolist()
+        return [0.0] * len(top), top
+    eigs = np.linalg.eigvalsh(subs)
+    return eigs[:, 0].tolist(), eigs[:, -1].tolist()
 
 
 def spectral_bessel_bound(g: GramMatrix) -> float:
-    """Optimal Bessel constant: lambda_max of the Gram matrix."""
-    return block_spectrum(g, g.entries)[1]
+    """Optimal Bessel constant: lambda_max of the Gram matrix, diagonalized once per ``g``."""
+    if g.spectrum is None:
+        lo, hi = _spectra(g, np.arange(g.n)[None], g.entries[None])
+        object.__setattr__(g, "spectrum", (lo[0], hi[0]))
+    return g.spectrum[1]
 
 
 def schur_bessel_bound(g: GramMatrix) -> float:
@@ -78,21 +77,28 @@ def schur_bessel_bound(g: GramMatrix) -> float:
     return float(np.abs(g.entries).sum(axis=1).max())
 
 
-def _row_functionals(sub: np.ndarray) -> tuple[float, float, float]:
-    """(sigma, eta, gamma) of a block submatrix: one ``abs`` pass, diagonal zeroed."""
-    mag = np.abs(sub, order="C")  # C order fixes the summation order of the column sums
-    mag.flat[:: sub.shape[0] + 1] = 0.0  # the diagonal
-    return float(mag.sum(axis=0).max()), float((mag**2).sum(axis=0).max()), float(mag.max())
+def _row_functionals(subs: np.ndarray) -> tuple[list, list, list]:
+    """(sigma, eta, gamma) of each (k, k) matrix in ``subs``: one ``abs`` pass, diagonals zeroed.
+
+    Each column sum adds its terms in row order, as a 2-d ``sum(axis=0)`` does.
+    """
+    r, k = subs.shape[:2]
+    mag = np.empty((2, r, k * k))
+    np.abs(subs.reshape(r, k * k), out=mag[0])
+    mag[0, :, :: k + 1] = 0.0  # the diagonals
+    np.square(mag[0], out=mag[1])
+    col_sums = np.add.reduce(mag.reshape(2, r, k, k), axis=2)
+    sigma, eta = np.maximum.reduce(col_sums, axis=2).tolist()
+    return sigma, eta, np.maximum.reduce(mag[0], axis=1).tolist()
 
 
 def row_functionals(
     g: GramMatrix, block: Iterable[int] | None = None
 ) -> tuple[float, float, float]:
     """(sigma, eta, gamma) over the block; all three are 0 for singletons."""
-    if block is None:
-        return _row_functionals(g.entries)
-    idx = normalize_block(g.n, block)
-    return _row_functionals(g.entries.take(idx, axis=0).take(idx, axis=1))
+    idx = None if block is None else normalize_block(g.n, block)
+    sub = g.entries if idx is None else g.entries.take(idx, axis=0).take(idx, axis=1)
+    return tuple(x[0] for x in _row_functionals(sub[None]))
 
 
 def sigma(g: GramMatrix, block: Iterable[int] | None = None) -> float:
@@ -146,21 +152,39 @@ def block_verdict(mode: str, sigma: float, eta: float) -> tuple[bool, bool]:
     return (sigma if mode == "feichtinger" else eta) < 1.0, borderline
 
 
-def certify_block(g: GramMatrix, idx: Sequence[int], mode: str) -> BlockCertificate:
-    """sigma, eta, gamma, the extreme eigenvalues and the ``mode`` verdict of one block.
+def certify_blocks(
+    g: GramMatrix, blocks: Sequence[Sequence[int]], mode: str
+) -> list[BlockCertificate]:
+    """Each block's sigma, eta, gamma, extreme eigenvalues and ``mode`` verdict, in input order.
 
-    ``idx`` must hold sorted, distinct, in-range indices (a partition block
-    or a normalized block); it is not re-checked.  The extreme eigenvalues
-    come from ``block_spectrum``.
+    The blocks hold sorted, distinct, in-range indices, not re-checked.  The
+    r blocks of each size k are certified as one (r, k, k) stack, each
+    getting the bits it would get alone.
     """
-    idx = np.asarray(idx, dtype=int)
-    sub = g.entries.take(idx, axis=0).take(idx, axis=1)  # g.entries[np.ix_(idx, idx)]
-    lambda_min, lambda_max = block_spectrum(g, sub, idx)
-    s, e, gamma = _row_functionals(sub)
-    certified, borderline = block_verdict(mode, s, e)
-    return BlockCertificate(
-        tuple(idx.tolist()), s, e, gamma, lambda_min, lambda_max, certified, borderline
-    )
+    by_size: dict[int, list[int]] = {}
+    for pos, block in enumerate(blocks):
+        by_size.setdefault(len(block), []).append(pos)
+    out: list = [None] * len(blocks)
+    for k, positions in by_size.items():
+        r = len(positions)
+        if k == g.n:  # the whole index set, whose lambda_max is the spectral bound
+            idx = np.broadcast_to(np.arange(k), (r, k))
+            subs = np.broadcast_to(g.entries, (r, k, k))
+            lambda_max = [spectral_bessel_bound(g)] * r  # fills g.spectrum
+            lambda_min = [g.spectrum[0]] * r
+        elif r == 1:  # two takes cost less than building the flat index
+            i = np.asarray(blocks[positions[0]], dtype=np.intp)
+            idx, subs = i[None], g.entries.take(i, axis=0).take(i, axis=1)[None]
+        else:  # G[idx[b, i], idx[b, j]] for every b, i, j
+            flat = itertools.chain.from_iterable(map(blocks.__getitem__, positions))
+            idx = np.fromiter(flat, np.intp, r * k).reshape(r, k)
+            subs = g.entries.ravel().take(idx[:, :, None] * g.n + idx[:, None, :])
+        if k < g.n:
+            lambda_min, lambda_max = _spectra(g, idx, subs)
+        rows = zip(positions, idx.tolist(), *_row_functionals(subs), lambda_min, lambda_max)
+        for pos, ix, s, e, gamma, lo, hi in rows:
+            out[pos] = BlockCertificate(tuple(ix), s, e, gamma, lo, hi, *block_verdict(mode, s, e))
+    return out
 
 
 def riesz_certificate(g: GramMatrix, block: Iterable[int] | None = None) -> BlockCertificate:
@@ -171,5 +195,4 @@ def riesz_certificate(g: GramMatrix, block: Iterable[int] | None = None) -> Bloc
     pair: lambda_min > 0 means spectrally Riesz even though the sigma
     criterion does not apply.
     """
-    return certify_block(g, normalize_block(g.n, block), "feichtinger")
-
+    return certify_blocks(g, [normalize_block(g.n, block)], "feichtinger")[0]

@@ -42,7 +42,3 @@ class EmptyBlockError(FramePartitionError, ValueError):
 
 class WeightMatrixError(FramePartitionError, ValueError):
     """Weight matrix is not symmetric, nonnegative and zero-diagonal."""
-
-
-class TooLargeForOracle(FramePartitionError, ValueError):
-    """Instance exceeds the size cap of the exhaustive oracle."""

@@ -18,6 +18,7 @@ import csv
 import hashlib
 import json
 import math
+import operator
 import re
 import reprlib
 from collections.abc import KeysView
@@ -119,6 +120,9 @@ _BLOCK_FIELDS = _BLOCK_SCHEMA["required"]  # analysis.BlockCertificate's fields,
 _REPORT_KEYS = dict.fromkeys(CERTIFICATE_SCHEMA["required"]).keys()
 _BOUND_KEYS = dict.fromkeys(CERTIFICATE_SCHEMA["properties"]["global_bounds"]["required"]).keys()
 _BLOCK_KEYS = dict.fromkeys(_BLOCK_FIELDS).keys()
+# A block's numbers and flags, all but its indices, from a report block and from a certificate.
+_REPORTED = operator.itemgetter(*_BLOCK_FIELDS[1:])
+_RECOMPUTED = operator.attrgetter(*_BLOCK_FIELDS[1:])
 _DIGEST = re.compile(CERTIFICATE_SCHEMA["properties"]["input_digest"]["pattern"])
 _MODES = CERTIFICATE_SCHEMA["properties"]["mode"]["enum"]
 _VERSIONS = CERTIFICATE_SCHEMA["properties"]["schema_version"]["enum"]
@@ -446,17 +450,19 @@ def _nesting_depth(data: bytes) -> int:
 def _parse_vector_json(data: bytes, path: Path) -> Any:
     """The JSON document in a vector file's bytes; invalid or too deeply nested text exits 2.
 
-    The nesting scan comes first: orjson crashes the process on nesting in
-    the hundreds of thousands of levels.  Text that orjson refuses (NaN, a
-    number beyond float range, a lone surrogate escape, any error) goes to
-    ``json.loads``, which reads it or words the error.  orjson reads an
-    integer literal beyond 64 bits as the nearest float.
+    The nesting scan comes first, where there are enough brackets to nest
+    that deep: orjson crashes the process on nesting in the hundreds of
+    thousands of levels.  Text that orjson refuses (NaN, a number beyond
+    float range, a lone surrogate escape, any error) goes to ``json.loads``,
+    which reads it or words the error.  orjson reads an integer literal
+    beyond 64 bits as the nearest float.
     """
-    depth = _nesting_depth(data)
-    if depth > MAX_NESTING:
-        raise ArgumentError(
-            f"invalid JSON in {path}: nested {depth} levels deep (the limit is {MAX_NESTING})"
-        )
+    if data.count(b"[") + data.count(b"{") > MAX_NESTING:
+        depth = _nesting_depth(data)
+        if depth > MAX_NESTING:
+            raise ArgumentError(
+                f"invalid JSON in {path}: nested {depth} levels deep (the limit is {MAX_NESTING})"
+            )
     try:
         return orjson.loads(data)
     except orjson.JSONDecodeError:
@@ -543,10 +549,11 @@ def recertify(
             f"report blocks do not cover the input index set 0..{seq.n - 1}"
         )
     g = gram(seq)
-    records = [analysis.certify_block(g, sorted(block), report["mode"]) for block in blocks]
+    records = analysis.certify_blocks(g, [sorted(block) for block in blocks], report["mode"])
     results = []
     for pos, (block, reported, bc) in enumerate(zip(blocks, report["blocks"], records)):
-        failures = [
+        # the recomputed numbers are finite, so values equal to them differ by 0.0 <= tol
+        failures = [] if tol >= 0 and _REPORTED(reported) == _RECOMPUTED(bc) else [
             f"{key}: reported {reported[key]!r}, recomputed {getattr(bc, key)!r}"
             for key in _BLOCK_FIELDS[1:]  # all but indices
             if _differs(reported[key], getattr(bc, key), tol)

@@ -86,11 +86,15 @@ class GramMatrix:
 
     ``factor`` is the n x d matrix V of the vectors, G = V V*, when the
     matrix came from ``gram`` (float64 for a real-mode sequence); the
-    public constructor leaves it None.
+    public constructor leaves it None.  ``spectrum`` caches its
+    ``(lambda_min, lambda_max)`` for ``analysis.spectral_bessel_bound``.
     """
 
     entries: np.ndarray
     factor: np.ndarray | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
+    spectrum: tuple[float, float] | None = dataclasses.field(
         default=None, init=False, repr=False, compare=False
     )
 

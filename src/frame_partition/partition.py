@@ -27,12 +27,12 @@ import numpy as np
 
 from .analysis import (
     BlockCertificate,
-    certify_block,
+    certify_blocks,
     normalize_block,
     schur_bessel_bound,
     spectral_bessel_bound,
 )
-from .errors import ArgumentError, TooLargeForOracle
+from .errors import ArgumentError
 from .linalg import UnitVectorSequence, WeightMatrix, gram, weight_matrix
 
 MODES = ("feichtinger", "uniform")
@@ -47,8 +47,6 @@ BREAKPOINT_TOL = 1e-12
 # true B = 3, computed 2.999...96), which would under-provision m and leave
 # a block at eta = 1.  The allowance only ever bumps m up by one.
 LEVEL_SAFETY = 1e-9
-
-ORACLE_SIZE_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -133,7 +131,9 @@ def _local_search(sub: np.ndarray) -> tuple[np.ndarray, int]:
             f = in_first.astype(np.float64)
             within = np.where(in_first, f @ sub, (1.0 - f) @ sub)
             until_refresh = k
-        for j in (within > low).nonzero()[0].tolist():
+        over = within > low
+        j = int(over.argmax())  # the first candidate (0 if none); above the band it moves at once
+        for j in [j] if within[j] > high[j] else over.nonzero()[0].tolist():
             if within[j] > high[j]:
                 break
             same_part = sign == sign[j]
@@ -230,38 +230,6 @@ def halving_plan(b: float) -> tuple[int, bool]:
     return m, on_breakpoint
 
 
-def brute_force_bipartition(
-    a: WeightMatrix | np.ndarray, indices: Iterable[int] | None = None
-) -> tuple[tuple[int, ...], tuple[int, ...], float]:
-    """Exhaustive oracle: the bipartition minimizing the max within-part row sum.
-
-    Scans all 2^(k-1) splits (the smallest index pinned to the first part)
-    and returns the first minimizer plus its value.  Capped at k <= 20.
-    """
-    w = _weight_entries(a)
-    idx = normalize_block(w.shape[0], indices)
-    k = idx.size
-    if k > ORACLE_SIZE_CAP:
-        raise TooLargeForOracle(f"oracle capped at {ORACLE_SIZE_CAP} indices, got {k}")
-    sub = w[np.ix_(idx, idx)]
-    row = sub.sum(axis=0)
-    best_val = math.inf
-    best_mask = np.ones(k, dtype=bool)
-    mask = np.empty(k, dtype=bool)
-    shifts = np.arange(k - 1)
-    for bits in range(2 ** (k - 1)):
-        mask[0] = True
-        mask[1:] = ((bits >> shifts) & 1) == 0
-        t_first = sub[mask].sum(axis=0)
-        within = np.where(mask, t_first, row - t_first)
-        val = float(within.max())
-        if val < best_val:
-            best_val = val
-            best_mask = mask.copy()
-    first, second = _ordered_parts(idx, best_mask)
-    return first, second, best_val
-
-
 def _certified_partition(
     seq: UnitVectorSequence,
     mode: str,
@@ -282,7 +250,7 @@ def _certified_partition(
     m, on_breakpoint = halving_plan(b)
     power = 1 if mode == "feichtinger" else 2
     part = halving_partition(weight_matrix(g, power), m)
-    per_block = tuple(certify_block(g, blk, mode) for blk in part.blocks)
+    per_block = tuple(certify_blocks(g, part.blocks, mode))
     return PartitionCertificate(
         partition=part,
         mode=mode,

@@ -1,0 +1,44 @@
+"""Exhaustive bipartition oracle that the tests check the halving local search against."""
+
+import math
+
+import numpy as np
+
+from frame_partition.analysis import normalize_block
+from frame_partition.partition import _ordered_parts, _weight_entries
+
+ORACLE_SIZE_CAP = 20
+
+
+class TooLargeForOracle(ValueError):
+    """Instance exceeds the size cap of the exhaustive oracle."""
+
+
+def brute_force_bipartition(a, indices=None):
+    """Exhaustive oracle: the bipartition minimizing the max within-part row sum.
+
+    Scans all 2^(k-1) splits (the smallest index pinned to the first part)
+    and returns the first minimizer plus its value.  Capped at k <= 20.
+    """
+    w = _weight_entries(a)
+    idx = normalize_block(w.shape[0], indices)
+    k = idx.size
+    if k > ORACLE_SIZE_CAP:
+        raise TooLargeForOracle(f"oracle capped at {ORACLE_SIZE_CAP} indices, got {k}")
+    sub = w[np.ix_(idx, idx)]
+    row = sub.sum(axis=0)
+    best_val = math.inf
+    best_mask = np.ones(k, dtype=bool)
+    mask = np.empty(k, dtype=bool)
+    shifts = np.arange(k - 1)
+    for bits in range(2 ** (k - 1)):
+        mask[0] = True
+        mask[1:] = ((bits >> shifts) & 1) == 0
+        t_first = sub[mask].sum(axis=0)
+        within = np.where(mask, t_first, row - t_first)
+        val = float(within.max())
+        if val < best_val:
+            best_val = val
+            best_mask = mask.copy()
+    first, second = _ordered_parts(idx, best_mask)
+    return first, second, best_val

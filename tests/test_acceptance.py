@@ -25,7 +25,6 @@ from frame_partition import (
     uniform_partition,
 )
 from frame_partition.partition import (
-    brute_force_bipartition,
     halving_partition,
     mills_bipartition,
     required_levels,
@@ -33,6 +32,7 @@ from frame_partition.partition import (
 from frame_partition.cli import main as cli_main
 
 from conftest import random_symmetric_weight
+from oracle import brute_force_bipartition
 
 
 def elapsed_under(start, budget):

@@ -17,7 +17,7 @@ from frame_partition import (
 from frame_partition.analysis import (
     BlockCertificate,
     block_verdict,
-    certify_block,
+    certify_blocks,
 )
 from frame_partition.errors import EmptyBlockError
 from frame_partition.generators import GeneratorSpec, generate
@@ -139,7 +139,7 @@ class TestBlockStats:
             g = random_gram(seed, dim=4, count=12, field=field)
             idx = np.sort(rng.choice(12, size=rng.integers(1, 13), replace=False))
             eigs = np.linalg.eigvalsh(g.entries[np.ix_(idx, idx)])
-            bc = certify_block(g, idx, "uniform")
+            (bc,) = certify_blocks(g, [idx], "uniform")
             expected = reference_row_functionals(g, idx)
             assert bc.indices == tuple(idx.tolist())
             assert (bc.sigma, bc.eta, bc.gamma) == expected
@@ -166,7 +166,7 @@ class TestBlockStats:
             for size in (seq.dim + 1, (seq.dim + 1 + seq.n) // 2)
         ]
         for idx in blocks:
-            bc = certify_block(g, idx, "feichtinger")
+            (bc,) = certify_blocks(g, [idx], "feichtinger")
             eigs = np.linalg.eigvalsh(g.entries[np.ix_(idx, idx)])
             assert bc.lambda_min == 0.0
             assert abs(bc.lambda_max - eigs[-1]) <= 1e-14 * eigs[-1]
@@ -187,6 +187,75 @@ class TestBlockStats:
     def test_verdict(self, s, e, feichtinger, uniform, borderline):
         assert block_verdict("feichtinger", s, e) == (feichtinger, borderline)
         assert block_verdict("uniform", s, e) == (uniform, borderline)
+
+
+def reference_certificate(g, idx, mode):
+    """One block's certificate by separate per-block passes, independent of the stacked kernel."""
+    idx = np.asarray(idx)
+    if g.factor is not None and idx.size > g.factor.shape[1]:
+        rows = g.factor[idx]
+        lambda_min, lambda_max = 0.0, float(np.linalg.eigvalsh(rows.conj().T @ rows)[-1])
+    else:
+        eigs = np.linalg.eigvalsh(g.entries[np.ix_(idx, idx)])
+        lambda_min, lambda_max = float(eigs[0]), float(eigs[-1])
+    s, e, gamma = reference_row_functionals(g, idx)
+    return BlockCertificate(
+        tuple(idx.tolist()), s, e, gamma, lambda_min, lambda_max, *block_verdict(mode, s, e)
+    )
+
+
+def bits(bc):
+    """A certificate's fields with every float as its exact hex form (so -0.0 differs from 0.0)."""
+    values = (getattr(bc, f.name) for f in fields(bc))
+    return tuple(x.hex() if type(x) is float else x for x in values)
+
+
+class TestCertifyBlocks:
+    @pytest.mark.parametrize("mode", ["feichtinger", "uniform"])
+    def test_matches_per_block_reference_on_corpus(self, corpus, mode):
+        # per instance: a random partition into mixed sizes, in shuffled order,
+        # plus the whole index set; k > d blocks arise wherever count > dim
+        rng = np.random.Generator(np.random.PCG64(17))
+        more_than_dim = 0
+        for _, seq in corpus:
+            g = gram(seq)
+            n = seq.n
+            cuts = np.sort(rng.choice(np.arange(1, n), size=min(n - 1, 5), replace=False))
+            blocks = [sorted(b.tolist()) for b in np.split(rng.permutation(n), cuts)]
+            blocks.append(list(range(n)))
+            rng.shuffle(blocks)
+            got = certify_blocks(g, blocks, mode)
+            assert [bits(bc) for bc in got] == [
+                bits(reference_certificate(g, b, mode)) for b in blocks
+            ]
+            (single,) = certify_blocks(g, blocks[:1], mode)
+            assert bits(single) == bits(got[0])
+            more_than_dim += sum(len(b) > seq.dim for b in blocks)
+        assert more_than_dim > len(corpus)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_stacked_sizes_match_per_block(self, field):
+        # groups of several equal-size blocks on both sides of k = d, and a block order
+        # that interleaves the groups
+        g = random_gram(3, dim=8, count=120, field=field)
+        perm = np.random.Generator(np.random.PCG64(8)).permutation(120)
+        sizes = [1, 1, 2, 2, 2, 8, 8, 9, 9, 16, 16, 1, 2, 9, 34]
+        blocks = [sorted(b.tolist()) for b in np.split(perm, np.cumsum(sizes)[:-1])]
+        for mode in ("feichtinger", "uniform"):
+            got = certify_blocks(g, blocks, mode)
+            assert [bits(bc) for bc in got] == [
+                bits(reference_certificate(g, b, mode)) for b in blocks
+            ]
+
+    def test_whole_set_shares_the_spectral_bound(self):
+        g = random_gram(4, dim=6, count=10)
+        (bc,) = certify_blocks(g, [range(10)], "uniform")
+        assert g.spectrum == (bc.lambda_min, bc.lambda_max)
+        assert spectral_bessel_bound(g) == bc.lambda_max
+        assert bits(bc) == bits(reference_certificate(g, range(10), "uniform"))
+
+    def test_empty_input(self):
+        assert certify_blocks(random_gram(0), [], "uniform") == []
 
 
 class TestRieszCertificate:

@@ -354,6 +354,17 @@ class TestNestingDepth:
     def test_escapes(self, text, depth):
         assert _nesting_depth(text.encode()) == reference_depth(text) == depth
 
+    @pytest.mark.parametrize("depth, scanned", [(1000, False), (1001, True)])
+    def test_scan_only_past_the_limit_in_brackets(self, tmp_path, depth, scanned):
+        # depth <= the number of "[" and "{" bytes, so at most 1000 of them need no scan
+        path = tmp_path / "v.json"
+        path.write_bytes(b"[" * depth + b"]" * depth)
+        with mock.patch("frame_partition.fileio._nesting_depth", wraps=_nesting_depth) as scan:
+            with pytest.raises(ArgumentError) as err:
+                read_vectors(path)
+        assert scan.called == scanned
+        assert ("nested 1001 levels deep" in str(err.value)) == scanned
+
 
 class TestParseDifferential:
     @settings(max_examples=400, deadline=None, derandomize=True)
@@ -675,6 +686,15 @@ class TestReports:
             results, claims = recertify(complex_seq, report)
             assert all(entry["passed"] for entry in results)
             assert claims == []
+
+    @pytest.mark.parametrize("tol", [-1.0, math.nan])
+    def test_recertify_tolerance_that_zero_misses(self, complex_seq, tol):
+        # a fresh report agrees exactly, which passes only a tolerance that 0.0 meets
+        report = build_report(feichtinger_partition(complex_seq), complex_seq)
+        results, _ = recertify(complex_seq, report, tol=tol)
+        numbers = ["sigma", "eta", "gamma", "lambda_min", "lambda_max"]
+        for entry in results:
+            assert [failure.split(":")[0] for failure in entry["failures"]] == numbers
 
     def test_recertify_catches_tampered_eigenvalue(self, complex_seq):
         cert = feichtinger_partition(complex_seq)

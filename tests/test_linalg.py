@@ -196,7 +196,7 @@ class TestOperators:
 
 
 class TestHermitianEigenvalues:
-    """The LAPACK Hermitian eigensolver that ``analysis.block_spectrum`` relies on."""
+    """The LAPACK Hermitian eigensolver that ``analysis._spectra`` relies on."""
 
     def test_matches_characteristic_polynomial_oracle(self):
         seq = generate(GeneratorSpec("random_unit", dim=6, count=8, seed=21, field="complex"))

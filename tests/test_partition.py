@@ -16,7 +16,7 @@ from frame_partition import (
     sigma,
     uniform_partition,
 )
-from frame_partition.errors import TooLargeForOracle, WeightMatrixError
+from frame_partition.errors import WeightMatrixError
 from frame_partition.generators import GeneratorSpec, generate
 from frame_partition import partition as partition_module
 from frame_partition.linalg import GramMatrix, weight_matrix
@@ -25,7 +25,6 @@ from frame_partition.partition import (
     LEVEL_SAFETY,
     Partition,
     _local_search,
-    brute_force_bipartition,
     halving_partition,
     halving_plan,
     mills_bipartition,
@@ -34,6 +33,7 @@ from frame_partition.partition import (
 
 from conftest import random_symmetric_weight
 from golden_partitions import GOLDEN_PATH, corpus_digests, weight_results
+from oracle import TooLargeForOracle, brute_force_bipartition
 
 
 def reference_local_search(sub):
