@@ -74,7 +74,7 @@ def spectral_bessel_bound(g: GramMatrix) -> float:
 
 def schur_bessel_bound(g: GramMatrix) -> float:
     """Schur-test Bessel constant: max absolute row sum, diagonal included."""
-    return float(np.abs(g.entries).sum(axis=1).max())
+    return float(g.magnitudes.sum(axis=1).max())
 
 
 def _row_functionals(subs: np.ndarray) -> tuple[list, list, list]:

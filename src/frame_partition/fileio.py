@@ -447,6 +447,12 @@ def _nesting_depth(data: bytes) -> int:
     return int(depth.max(initial=0))
 
 
+def _bracket_count(data: bytes) -> int:
+    """The number of "[" and "{" bytes in ``data``, inside strings too."""
+    s = np.frombuffer(data, dtype=np.uint8)
+    return int(np.count_nonzero(s == ord("["))) + int(np.count_nonzero(s == ord("{")))
+
+
 def _parse_vector_json(data: bytes, path: Path) -> Any:
     """The JSON document in a vector file's bytes; invalid or too deeply nested text exits 2.
 
@@ -457,7 +463,7 @@ def _parse_vector_json(data: bytes, path: Path) -> Any:
     which reads it or words the error.  orjson reads an integer literal
     beyond 64 bits as the nearest float.
     """
-    if data.count(b"[") + data.count(b"{") > MAX_NESTING:
+    if _bracket_count(data) > MAX_NESTING:
         depth = _nesting_depth(data)
         if depth > MAX_NESTING:
             raise ArgumentError(

@@ -16,6 +16,7 @@ sequence holds the invariants by construction.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +113,11 @@ class GramMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
+    @functools.cached_property
+    def magnitudes(self) -> np.ndarray:
+        """|G|, computed once: the Schur bound and the weight matrix share it."""
+        return _freeze(np.abs(self.entries))
+
 
 @dataclass(frozen=True)
 class WeightMatrix:
@@ -143,10 +149,9 @@ def gram(seq: UnitVectorSequence) -> GramMatrix:
     entry is finite, and the result is not checked again.
     """
     v = seq.vectors
-    full = v @ v.conj().T
-    upper = np.triu(full, 1)
-    g = upper + upper.conj().T
-    g[np.diag_indices_from(g)] = np.linalg.norm(v, axis=1) ** 2
+    g = np.triu(v @ v.conj().T, 1)
+    g += g.T.conj()  # each entry plus the zero mirrored onto it, so exactly Hermitian
+    np.fill_diagonal(g, np.linalg.norm(v, axis=1) ** 2)
     out = object.__new__(GramMatrix)
     object.__setattr__(out, "entries", _freeze(g))
     # real-mode vectors have zero imaginary parts: real arithmetic is a quarter of the work
@@ -164,7 +169,7 @@ def weight_matrix(g: GramMatrix, power: int = 1) -> WeightMatrix:
     """
     if power not in (1, 2):
         raise ArgumentError(f"power must be 1 or 2, got {power!r}")
-    a = np.abs(g.entries) ** power
+    a = g.magnitudes.copy() if power == 1 else np.square(g.magnitudes)
     np.fill_diagonal(a, 0.0)
     if g.factor is None:
         return WeightMatrix(a)

@@ -108,7 +108,8 @@ def _local_search(sub: np.ndarray) -> tuple[np.ndarray, int]:
     Running float sums decide everything outside a band of 1e-9 * row
     around half the row sum.  A move of j adds or subtracts ``sign * sub[j]``
     in O(k) (``sign`` is +1 on the first part and -1 on the second, and
-    multiplying by +-1 is exact), and every k moves the sums are computed
+    multiplying by +-1 is exact).  The sums start as the row sums, with
+    every index in the first part, and every k moves they are computed
     afresh, so between refreshes they drift from the exact sums by at most
     about k * eps * row, which is <= 5e-13 * row at k = 2048 and far inside
     the band.  A running sum above the band is therefore an exact violator,
@@ -122,25 +123,28 @@ def _local_search(sub: np.ndarray) -> tuple[np.ndarray, int]:
     half, margin = 0.5 * row, 1e-9 * row
     low, high = half - margin, half + margin
     sign = np.ones(k)  # +1 on the first part, -1 on the second
+    within = row.copy()  # everything starts in the first part
+    over = np.empty(k, dtype=bool)
     step = np.empty(k)
     moves = 0
-    until_refresh = 0
+    until_refresh = k
     while True:
         if until_refresh == 0:
             in_first = sign > 0
             f = in_first.astype(np.float64)
             within = np.where(in_first, f @ sub, (1.0 - f) @ sub)
             until_refresh = k
-        over = within > low
+        np.greater(within, low, out=over)
         j = int(over.argmax())  # the first candidate (0 if none); above the band it moves at once
-        for j in [j] if within[j] > high[j] else over.nonzero()[0].tolist():
-            if within[j] > high[j]:
-                break
-            same_part = sign == sign[j]
-            if math.fsum(sub[same_part, j].tolist()) > 0.5 * math.fsum(sub[:, j].tolist()):
-                break
-        else:
-            return sign > 0, moves
+        if not within[j] > high[j]:  # scan the candidates in order, deciding in-band ones by fsum
+            for j in over.nonzero()[0].tolist():
+                if within[j] > high[j]:
+                    break
+                same_part = sign == sign[j]
+                if math.fsum(sub[same_part, j].tolist()) > 0.5 * math.fsum(sub[:, j].tolist()):
+                    break
+            else:
+                return sign > 0, moves
         sign[j] = s = -sign[j]
         moved_from = within[j]
         np.multiply(sign, sub[j], out=step)
@@ -163,12 +167,10 @@ def _ordered_parts(
     return first, second
 
 
-def _bipartition(
-    w: np.ndarray, idx: np.ndarray
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split the sorted block ``idx`` of validated weights ``w``."""
-    in_first, _ = _local_search(w[np.ix_(idx, idx)])
-    return _ordered_parts(idx, in_first)
+def _search(w: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, int]:
+    """The local search on the sorted block ``idx`` of ``w``: in place if it is every index."""
+    sub = w if idx.size == w.shape[0] else w.take(idx, axis=0).take(idx, axis=1)
+    return _local_search(sub)
 
 
 def mills_bipartition(
@@ -181,26 +183,35 @@ def mills_bipartition(
     sum_{i in P} a_ij <= (1/2) * sum_{i in indices} a_ij.
     """
     w = _weight_entries(a)
-    return _bipartition(w, normalize_block(w.shape[0], indices))
+    idx = normalize_block(w.shape[0], indices)
+    return _ordered_parts(idx, _search(w, idx)[0])
 
 
 def halving_partition(a: WeightMatrix | np.ndarray, m: int) -> Partition:
-    """Apply the bipartition recursively m levels; empty blocks are dropped."""
+    """Apply the bipartition recursively m levels.
+
+    A block that cannot split leaves the search: one index, or a block with
+    no move, whose row sums are all 0.  A move strictly lowers the
+    within-part weight, so a search that moves leaves two nonempty parts.
+    """
     if not isinstance(m, (int, np.integer)) or m < 0:
         raise ArgumentError(f"level count must be an integer >= 0, got {m!r}")
     w = _weight_entries(a)
     n = w.shape[0]
-    blocks: list[tuple[int, ...]] = [tuple(range(n))]
+    done: list[np.ndarray] = []
+    active = [np.arange(n)]
     for _ in range(m):
-        next_blocks: list[tuple[int, ...]] = []
-        for block in blocks:
-            first, second = _bipartition(w, np.array(block, dtype=int))
-            if first:
-                next_blocks.append(first)
-            if second:
-                next_blocks.append(second)
-        blocks = next_blocks
-    blocks.sort(key=lambda b: b[0])
+        if not active:
+            break
+        searching, active = active, []
+        for idx in searching:
+            in_first, moves = _search(w, idx)
+            if moves == 0:
+                done.append(idx)
+                continue
+            for part in (idx[in_first], idx[~in_first]):
+                (active if part.size > 1 else done).append(part)
+    blocks = sorted((tuple(b.tolist()) for b in done + active), key=lambda b: b[0])
     return Partition(n=n, blocks=tuple(blocks), levels=int(m))
 
 

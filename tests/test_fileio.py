@@ -33,7 +33,12 @@ from frame_partition import (
     write_report,
     write_vectors,
 )
-from frame_partition.fileio import _nesting_depth, _parse_json_vectors, _schema_error
+from frame_partition.fileio import (
+    _bracket_count,
+    _nesting_depth,
+    _parse_json_vectors,
+    _schema_error,
+)
 
 import golden_reports
 from golden_digests import (
@@ -342,6 +347,19 @@ class TestNestingDepth:
     def test_matches_reference_scan(self, value, indent, ensure_ascii):
         text = json.dumps(value, indent=indent, ensure_ascii=ensure_ascii)
         assert _nesting_depth(text.encode()) == reference_depth(text)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(JSON_VALUES, st.sampled_from([None, 2]))
+    def test_bracket_count_matches_bytes_count(self, value, indent):
+        # the count that gates the scan includes brackets inside strings
+        data = json.dumps(value, indent=indent, ensure_ascii=False).encode()
+        assert _bracket_count(data) == data.count(b"[") + data.count(b"{")
+
+    @pytest.mark.parametrize(
+        "data", [b"", b'"[{"', b'["[", {"{": [1]}]', b"[" * 1001, b"\xff{\x00["]
+    )
+    def test_bracket_count_cases(self, data):
+        assert _bracket_count(data) == data.count(b"[") + data.count(b"{")
 
     @pytest.mark.parametrize("text, depth", [
         ('"\\\\"', 0),

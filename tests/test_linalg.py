@@ -4,9 +4,34 @@ import numpy as np
 import pytest
 
 from frame_partition import ArgumentError, NormViolation, UnitVectorSequence, gram
+from frame_partition.analysis import schur_bessel_bound
 from frame_partition.errors import SymmetryViolation, WeightMatrixError
 from frame_partition.generators import GeneratorSpec, generate
 from frame_partition.linalg import GramMatrix, WeightMatrix, weight_matrix
+
+from oracle import reference_gram, reference_schur_bound, reference_weights
+
+
+# count x dim: a complex and a real wide-workload size, and count 12, where a
+# float64 v @ v.T differs from the complex product, so a real-mode shortcut would show
+BIT_SHAPES = [(288, 160, "complex"), (192, 96, "real")] + [
+    (12, dim, field) for dim in (5, 100) for field in ("real", "complex")
+]
+
+
+def bit_check_sequences(corpus):
+    """The corpus grid plus the sequences of ``BIT_SHAPES``."""
+    yield from (seq for _, seq in corpus)
+    for count, dim, field in BIT_SHAPES:
+        yield generate(GeneratorSpec("random_unit", dim=dim, count=count, seed=7, field=field))
+
+
+def same_bits(a, b):
+    """Equal as raw float64 bits, so signed zeros count."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64)
+    )
 
 
 def seq_from(rows, field=None):
@@ -101,6 +126,10 @@ class TestGram:
         assert np.array_equal(g.factor, seq.vectors)
         assert GramMatrix(g.entries).factor is None
 
+    def test_matches_three_temporary_formula(self, corpus):
+        for seq in bit_check_sequences(corpus):
+            assert same_bits(gram(seq).entries, reference_gram(seq.vectors)), seq.vectors.shape
+
     def test_gram_matrix_rejects_non_hermitian(self):
         with pytest.raises(SymmetryViolation):
             GramMatrix(np.array([[1.0, 0.5], [0.4, 1.0]]))
@@ -140,6 +169,17 @@ class TestWeightMatrix:
                 assert np.all(np.diagonal(w.entries) == 0.0)
                 checked = WeightMatrix(w.entries)
                 assert checked.entries.tobytes() == w.entries.tobytes()
+
+    def test_shared_magnitudes_match_abs_formulas(self, corpus):
+        # schur_bessel_bound and weight_matrix share one cached |G|
+        for seq in bit_check_sequences(corpus):
+            g = gram(seq)
+            for power in (1, 2):
+                want = reference_weights(g.entries, power)
+                assert same_bits(weight_matrix(g, power).entries, want), (seq.vectors.shape, power)
+            assert schur_bessel_bound(g) == reference_schur_bound(g.entries)
+            assert g.magnitudes is g.magnitudes and not g.magnitudes.flags.writeable
+            assert same_bits(g.magnitudes, np.abs(g.entries))
 
     def test_from_public_gram_checked(self):
         # Hermitian within HERMITIAN_TOL passes GramMatrix, but the weights would not be symmetric

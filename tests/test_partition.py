@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -33,7 +33,7 @@ from frame_partition.partition import (
 
 from conftest import random_symmetric_weight
 from golden_partitions import GOLDEN_PATH, corpus_digests, weight_results
-from oracle import TooLargeForOracle, brute_force_bipartition
+from oracle import TooLargeForOracle, brute_force_bipartition, reference_halving
 
 
 def reference_local_search(sub):
@@ -174,6 +174,39 @@ class TestMillsBipartition:
 
 
 class TestHalvingPartition:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(tie_heavy_weights(), st.sampled_from([*range(9), 64]))
+    @example(np.zeros((1, 1)), 3)
+    @example(np.zeros((5, 5)), 2)
+    @example(np.zeros((5, 5)), 64)
+    def test_matches_per_block_loop(self, a, m):
+        # blocks that cannot split leave the search; the blocks stay the same
+        part = halving_partition(a, m)
+        assert list(part.blocks) == reference_halving(a, m)
+        assert part.levels == m
+
+    @pytest.mark.parametrize("override", [None, 1e6, 1e300])
+    def test_search_calls_bounded(self, monkeypatch, override):
+        # each search splits a block or finalizes one, so there are at most
+        # 2n - 1 of them, however many levels the Bessel constant asks for
+        seq = generate(GeneratorSpec("random_unit", dim=16, count=64, seed=4))
+        calls = []
+        search = partition_module._local_search
+
+        def counting_search(sub):
+            calls.append(sub.shape[0])
+            return search(sub)
+
+        monkeypatch.setattr(partition_module, "_local_search", counting_search)
+        cert = feichtinger_partition(seq, bessel_override=override)
+        monkeypatch.undo()
+        assert 0 < len(calls) <= 2 * seq.n - 1
+        assert 1 not in calls  # a block of one index is never searched
+        want = reference_halving(weight_matrix(gram(seq), 1), cert.partition.levels)
+        assert list(cert.partition.blocks) == want
+        if override == 1e300:
+            assert cert.partition.levels > 900 and len(want) == seq.n
+
     def test_zero_levels_identity(self):
         a = np.zeros((4, 4))
         part = halving_partition(a, 0)
