@@ -40,7 +40,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         field=args.field,
     )
     seq = generators.generate(spec)
-    fileio.write_vectors(args.output, seq, fmt=args.format)
+    fileio.write_vectors(args.output, seq)
     print(f"wrote {seq.n} vectors (dim {seq.dim}, {seq.field}) to {args.output}")
     return EXIT_OK
 
@@ -130,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--multiplicity", type=int, default=1)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--field", choices=("real", "complex"), default="real")
-    gen.add_argument("--format", choices=("json", "csv"), default=None)
     gen.add_argument("-o", "--output", required=True)
     gen.set_defaults(func=cmd_generate)
 

@@ -1,9 +1,8 @@
 """Vector files, certificate reports and the independent re-check.
 
-JSON is the canonical vector format (floats round-trip exactly: each is
-written as the shortest decimal that reads back to it); CSV is a
-convenience importer with complex cells written "re:im".  JSON vector files
-are written and read through orjson, after a scan that refuses structural
+Vector files are JSON whatever their suffix (floats round-trip exactly:
+each is written as the shortest decimal that reads back to it).  They are
+written and read through orjson, after a scan that refuses structural
 nesting deeper than ``MAX_NESTING``; what orjson refuses is read by
 ``json.loads``, so a file means what it means to ``json``.  Certificate
 reports stay on ``json``: they must hold integers beyond 64 bits and NaN as
@@ -14,7 +13,6 @@ the schema, and they are bound to their input by a content digest.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -263,41 +261,22 @@ def sequence_digest(seq: UnitVectorSequence, version: int = SCHEMA_VERSION) -> s
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def write_vectors(path: str | Path, seq: UnitVectorSequence, fmt: str | None = None) -> None:
-    path = Path(path)
-    fmt = fmt or path.suffix.lstrip(".").lower()
-    if fmt == "json":
-        v = np.ascontiguousarray(seq.vectors)
-        doc = {
-            "dim": seq.dim,
-            "field": seq.field,
-            "count": seq.n,
-            # real parts alone, or each coordinate as its [re, im] pair of float64s
-            "vectors": np.ascontiguousarray(v.real)
-            if seq.field == "real"
-            else v.view(np.float64).reshape(*v.shape, 2),
-        }
-        if seq.labels is not None:
-            doc["labels"] = list(seq.labels)
-        option = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
-        path.write_bytes(orjson.dumps(doc, option=option))
-    elif fmt == "csv":
-        with path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["dim", "field", "count"])
-            writer.writerow([seq.dim, seq.field, seq.n])
-            for row in seq.vectors:
-                if seq.field == "real":
-                    writer.writerow([repr(float(x.real)) for x in row])
-                else:
-                    writer.writerow([f"{float(x.real)!r}:{float(x.imag)!r}" for x in row])
-    else:
-        raise ArgumentError(f"unknown vector file format {fmt!r} (use json or csv)")
-
-
-def _check_shape(dim: int, count: int) -> None:
-    if dim < 1 or count < 1:
-        raise ArgumentError(f"dim and count must be >= 1, got dim={dim}, count={count}")
+def write_vectors(path: str | Path, seq: UnitVectorSequence) -> None:
+    """Write ``seq`` as a JSON vector file, whatever the suffix of ``path``."""
+    v = np.ascontiguousarray(seq.vectors)
+    doc = {
+        "dim": seq.dim,
+        "field": seq.field,
+        "count": seq.n,
+        # real parts alone, or each coordinate as its [re, im] pair of float64s
+        "vectors": np.ascontiguousarray(v.real)
+        if seq.field == "real"
+        else v.view(np.float64).reshape(*v.shape, 2),
+    }
+    if seq.labels is not None:
+        doc["labels"] = list(seq.labels)
+    option = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+    Path(path).write_bytes(orjson.dumps(doc, option=option))
 
 
 def _numeric_rows(rows: list, shape: tuple[int, ...]) -> np.ndarray | None:
@@ -323,11 +302,6 @@ def _json_pair(cell: Any) -> complex | None:
     if isinstance(cell, list) and len(cell) == 2:
         return complex(float(cell[0]), float(cell[1]))
     return None
-
-
-def _csv_pair(cell: str) -> complex:
-    re_part, im_part = cell.split(":")
-    return complex(float(re_part), float(im_part))
 
 
 def _parse_cells(rows: list, count: int, dim: int, value: Callable[[Any], Any]) -> np.ndarray:
@@ -361,7 +335,8 @@ def _parse_json_vectors(doc: Any) -> UnitVectorSequence:
             "malformed vector file header: dim and count must be integers >= 0 and field a string"
         )
     dim, count = int(dim), int(count)
-    _check_shape(dim, count)
+    if dim < 1 or count < 1:
+        raise ArgumentError(f"dim and count must be >= 1, got dim={dim}, count={count}")
     if not isinstance(rows, list) or len(rows) != count:
         raise ArgumentError("vector count does not match header")
     for i, row in enumerate(rows):
@@ -376,25 +351,6 @@ def _parse_json_vectors(doc: Any) -> UnitVectorSequence:
     return UnitVectorSequence(
         vectors, field=field, labels=tuple(labels) if labels is not None else None
     )
-
-
-def _parse_csv_vectors(text: str) -> UnitVectorSequence:
-    rows = list(csv.reader(text.splitlines()))
-    if len(rows) < 3 or [c.strip() for c in rows[0]] != ["dim", "field", "count"]:
-        raise ArgumentError("csv vector file must start with a dim,field,count header")
-    try:
-        dim, field, count = int(rows[1][0]), rows[1][1].strip(), int(rows[1][2])
-    except (IndexError, ValueError) as exc:
-        raise ArgumentError(f"malformed csv header values: {exc}") from exc
-    _check_shape(dim, count)
-    data = rows[2:]
-    if len(data) != count:
-        raise ArgumentError(f"expected {count} vector rows, found {len(data)}")
-    for i, row in enumerate(data):
-        if len(row) != dim:
-            raise ArgumentError(f"row {i} has {len(row)} cells, expected {dim}")
-    vectors = _parse_cells(data, count, dim, _csv_pair if field == "complex" else float)
-    return UnitVectorSequence(vectors, field=field)
 
 
 def _decode(data: bytes, path: str | Path) -> str:
@@ -475,15 +431,10 @@ def _parse_vector_json(data: bytes, path: Path) -> Any:
         return _parse_json(_decode(data, path), str(path))
 
 
-def read_vectors(path: str | Path, fmt: str | None = None) -> UnitVectorSequence:
+def read_vectors(path: str | Path) -> UnitVectorSequence:
+    """Read a JSON vector file, whatever the suffix of ``path``."""
     path = Path(path)
-    fmt = fmt or path.suffix.lstrip(".").lower()
-    data = path.read_bytes()
-    if fmt == "json":
-        return _parse_json_vectors(_parse_vector_json(data, path))
-    if fmt == "csv":
-        return _parse_csv_vectors(_decode(data, path))
-    raise ArgumentError(f"unknown vector file format {fmt!r} (use json or csv)")
+    return _parse_json_vectors(_parse_vector_json(path.read_bytes(), path))
 
 
 def build_report(

@@ -55,11 +55,19 @@ class TestGenerate:
         assert run("generate", "--kind", "orthonormal", "--dim", "2", "--count", "2",
                    "-o", str(tmp_path / "missing" / "x.json")) == 3
 
-    def test_csv_format(self, tmp_path):
-        out = tmp_path / "v.csv"
+    def test_any_suffix_is_json(self, tmp_path, capsys):
+        out, report = tmp_path / "v.txt", tmp_path / "r.txt"
         assert run("generate", "--kind", "harmonic", "--dim", "2", "--count", "4",
                    "-o", str(out)) == 0
-        assert read_vectors(out).field == "complex"
+        assert json.loads(out.read_text())["field"] == "complex"
+        assert run("partition", str(out), "-o", str(report)) == 0
+        assert run("certify", str(out), str(report)) == 0
+
+    def test_format_flag_exits_2(self, tmp_path, capsys):
+        assert run("generate", "--kind", "orthonormal", "--dim", "2", "--format", "csv",
+                   "-o", str(tmp_path / "v.csv")) == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+        assert not (tmp_path / "v.csv").exists()
 
 
 class TestAnalyze:
@@ -163,6 +171,8 @@ def _vector_doc(field, dim, vectors, **extra):
     )
 
 
+CSV_TEXT = "dim,field,count\n2,real,1\n1.0,0.0\n"
+
 MALFORMED_VECTOR_FILES = [
     ("list_cell.json", _vector_doc("real", 2, [[[1, 0], 0]])),
     ("null_cell.json", _vector_doc("real", 2, [[None, 1.0]])),
@@ -177,13 +187,12 @@ MALFORMED_VECTOR_FILES = [
                                      "vectors": [[1.0]]})),
     ("string_header.json", json.dumps({"dim": "2", "field": "real", "count": "2",
                                        "vectors": [[1.0, 0.0], [0.0, 1.0]]})),
-    ("negative_dim.csv", "dim,field,count\n-1,real,1\n1.0\n"),
     # a count x dim allocation would need 16 TB: rows are checked first
     ("huge_dim.json", json.dumps({"dim": 10**12, "field": "real", "count": 1,
                                   "vectors": [[1.0]]})),
-    ("huge_dim.csv", f"dim,field,count\n{10**12},real,1\n1.0\n"),
     ("not_utf8.json", b"\xff\xfe"),
-    ("not_utf8.csv", b"dim,field,count\n1,real,1\n\xff\n"),
+    # CSV text is not JSON, whatever the suffix
+    ("csv_text.csv", CSV_TEXT),
     ("deep_nesting.json", "[" * 100_000 + "]" * 100_000),
     # longer than the int-to-string digit limit: json.loads raises a plain ValueError
     ("long_int_literal.json", _vector_doc("real", 1, [[0]]).replace("0", "1" * 5000)),
@@ -201,6 +210,17 @@ class TestMalformedVectorFiles:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["analyze", "partition", "certify"])
+    def test_csv_file_exits_2_with_one_line(self, tmp_path, capsys, command):
+        path = tmp_path / "old.csv"
+        path.write_text(CSV_TEXT)
+        report = tmp_path / "r.json"
+        args = {"analyze": [], "partition": ["-o", str(report)], "certify": [str(report)]}
+        assert run(command, str(path), *args[command]) == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid JSON in {path}: Expecting value: line 1 column 1 (char 0)\n"
+        )
 
 
 def run_python(*argv):

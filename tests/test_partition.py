@@ -383,6 +383,16 @@ class TestFeichtingerPartition:
         assert cert.all_certified
         assert cert.per_block[0].sigma == 0.0
 
+    def test_no_certified_block_exceeds_dimension(self, corpus):
+        # k > d vectors have rank < k, so lambda_min is 0 and such a block is no Riesz sequence
+        wrong = [
+            (spec, bc.indices)
+            for spec, seq in corpus
+            for bc in feichtinger_partition(seq).per_block
+            if bc.certified and len(bc.indices) > seq.dim
+        ]
+        assert wrong == []
+
 
 class TestUniformPartition:
     def test_orthonormal_single_block(self):
