@@ -3,7 +3,8 @@
 The three row functionals on an index block:
 
 * sigma  — largest off-diagonal absolute row sum; sigma < 1 certifies a
-  Riesz sequence with guaranteed bounds (1 - sigma, 1 + sigma).
+  Riesz sequence with guaranteed bounds (1 - sigma, 1 + sigma), and a
+  feichtinger verdict also needs the computed lambda_min > 0.
 * eta    — largest off-diagonal squared-magnitude row sum; eta < 1 defines
   a uniformly separated sequence.
 * gamma  — largest off-diagonal |G_ij| (the separation constant).
@@ -30,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, EmptyBlockError
+from .errors import ArgumentError
 from .linalg import GramMatrix
 
 # sigma in [1 - BORDERLINE_TOL, 1) is still certified but flagged.
@@ -43,7 +44,7 @@ def normalize_block(n: int, block: Iterable[int] | None) -> np.ndarray:
         return np.arange(n, dtype=int)
     idx = np.array(sorted({int(i) for i in block}), dtype=int)
     if idx.size == 0:
-        raise EmptyBlockError("index block is empty")
+        raise ArgumentError("index block is empty")
     if idx[0] < 0 or idx[-1] >= n:
         raise ArgumentError(f"block indices out of range for n={n}: {idx.tolist()}")
     return idx
@@ -129,27 +130,21 @@ class BlockCertificate:
     certified: bool  # the mode's verdict (block_verdict)
     borderline: bool
 
-    @property
-    def a_bound(self) -> float:
-        """1 - sigma, the guaranteed lower Riesz bound when sigma < 1."""
-        return 1.0 - self.sigma
 
-    @property
-    def b_bound(self) -> float:
-        """1 + sigma, the Riesz upper bound."""
-        return 1.0 + self.sigma
-
-
-def block_verdict(mode: str, sigma: float, eta: float) -> tuple[bool, bool]:
+def block_verdict(mode: str, sigma: float, eta: float, lambda_min: float) -> tuple[bool, bool]:
     """``(certified, borderline)`` for a block in ``mode``.
 
-    Feichtinger mode certifies sigma < 1 (the Riesz criterion), uniform mode
-    eta < 1; the raw comparison decides, with no hidden margin.  In both
-    modes the block is flagged borderline when sigma is certified but
-    within BORDERLINE_TOL below 1.
+    Feichtinger mode certifies sigma < 1 and lambda_min > 0: the Riesz
+    criterion, and a computed spectrum that agrees with it, so a block of
+    more vectors than the dimension (lambda_min 0.0 exactly) is never
+    certified.  Uniform mode certifies eta < 1.  The raw comparisons
+    decide, with no hidden margin.  In both modes the block is flagged
+    borderline when sigma is within BORDERLINE_TOL below 1.
     """
     borderline = 1.0 - BORDERLINE_TOL <= sigma < 1.0
-    return (sigma if mode == "feichtinger" else eta) < 1.0, borderline
+    if mode == "feichtinger":
+        return sigma < 1.0 and lambda_min > 0.0, borderline
+    return eta < 1.0, borderline
 
 
 def certify_blocks(
@@ -183,7 +178,8 @@ def certify_blocks(
             lambda_min, lambda_max = _spectra(g, idx, subs)
         rows = zip(positions, idx.tolist(), *_row_functionals(subs), lambda_min, lambda_max)
         for pos, ix, s, e, gamma, lo, hi in rows:
-            out[pos] = BlockCertificate(tuple(ix), s, e, gamma, lo, hi, *block_verdict(mode, s, e))
+            verdict = block_verdict(mode, s, e, lo)
+            out[pos] = BlockCertificate(tuple(ix), s, e, gamma, lo, hi, *verdict)
     return out
 
 

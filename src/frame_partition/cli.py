@@ -89,10 +89,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
     report = fileio.read_report(args.report)
     # the schema accepts 1.0 for 1
     digest = fileio.sequence_digest(seq, int(report["schema_version"]))
-    if report["input_digest"] != digest and not args.force:
+    if report["input_digest"] != digest:
         print(
             f"digest mismatch: report was built for {report['input_digest'][:12]}..., "
-            f"input hashes to {digest[:12]}... (use --force to override)",
+            f"input hashes to {digest[:12]}...",
             file=sys.stderr,
         )
         return EXIT_USAGE
@@ -149,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     cer.add_argument("input")
     cer.add_argument("report")
     cer.add_argument("--tol", type=float, default=fileio.REPORT_TOL)
-    cer.add_argument("--force", action="store_true")
     cer.set_defaults(func=cmd_certify)
     return parser
 

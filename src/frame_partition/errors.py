@@ -8,11 +8,7 @@ class FramePartitionError(Exception):
 
 
 class ArgumentError(FramePartitionError, ValueError):
-    """Invalid argument value (bad kind, negative level count, B < 1, ...)."""
-
-
-class DimensionError(FramePartitionError, ValueError):
-    """Shape or length mismatch between vectors, coefficients or matrices."""
+    """Invalid argument value: a bad kind, shape, matrix, block or file (exit 2 in the CLI)."""
 
 
 class NormViolation(FramePartitionError):
@@ -30,15 +26,3 @@ class NormViolation(FramePartitionError):
             f"vector {self.index} has norm {self.norm!r}, expected 1 "
             f"(offending indices: {list(self.indices)})"
         )
-
-
-class SymmetryViolation(FramePartitionError, ValueError):
-    """A matrix required to be Hermitian/symmetric is not, beyond tolerance."""
-
-
-class EmptyBlockError(FramePartitionError, ValueError):
-    """An index block that must be nonempty is empty."""
-
-
-class WeightMatrixError(FramePartitionError, ValueError):
-    """Weight matrix is not symmetric, nonnegative and zero-diagonal."""

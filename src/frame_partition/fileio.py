@@ -273,8 +273,6 @@ def write_vectors(path: str | Path, seq: UnitVectorSequence) -> None:
         if seq.field == "real"
         else v.view(np.float64).reshape(*v.shape, 2),
     }
-    if seq.labels is not None:
-        doc["labels"] = list(seq.labels)
     option = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
     Path(path).write_bytes(orjson.dumps(doc, option=option))
 
@@ -342,15 +340,10 @@ def _parse_json_vectors(doc: Any) -> UnitVectorSequence:
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise ArgumentError(f"row {i} has wrong length (expected {dim})")
-    labels = doc.get("labels")
-    if labels is not None and not isinstance(labels, list):
-        raise ArgumentError("labels must be a list")
     vectors = _numeric_rows(rows, (count, dim, 2) if field == "complex" else (count, dim))
     if vectors is None:
         vectors = _parse_cells(rows, count, dim, _json_pair if field == "complex" else float)
-    return UnitVectorSequence(
-        vectors, field=field, labels=tuple(labels) if labels is not None else None
-    )
+    return UnitVectorSequence(vectors, field=field)
 
 
 def _decode(data: bytes, path: str | Path) -> str:

@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ArgumentError,
-    DimensionError,
-    NormViolation,
-    SymmetryViolation,
-    WeightMatrixError,
-)
+from .errors import ArgumentError, NormViolation
 
 # Acceptance tolerance for "unit" vectors; a vector outside it is refused,
 # never rescaled.
@@ -49,13 +43,12 @@ class UnitVectorSequence:
 
     vectors: np.ndarray
     field: str = "complex"
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         # C order: sequence_digest reinterprets the rows' bytes
         v = np.array(self.vectors, dtype=np.complex128, order="C")
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
-            raise DimensionError(
+            raise ArgumentError(
                 f"vectors must be a nonempty 2-d array, got shape {np.shape(self.vectors)}"
             )
         if not np.all(np.isfinite(v)):
@@ -64,8 +57,6 @@ class UnitVectorSequence:
             raise ArgumentError(f"field must be one of {FIELDS}, got {self.field!r}")
         if self.field == "real" and np.any(v.imag != 0.0):
             raise ArgumentError("real-mode sequence has nonzero imaginary parts")
-        if self.labels is not None and len(self.labels) != v.shape[0]:
-            raise DimensionError("labels length does not match vector count")
         norms = np.linalg.norm(v, axis=1)
         bad = np.nonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)[0]
         if bad.size:
@@ -102,11 +93,11 @@ class GramMatrix:
     def __post_init__(self) -> None:
         g = np.array(self.entries, dtype=np.complex128)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise DimensionError(f"Gram matrix must be square, got shape {g.shape}")
+            raise ArgumentError(f"Gram matrix must be square, got shape {g.shape}")
         if not np.all(np.isfinite(g)):
             raise ArgumentError("Gram matrix contains NaN or Inf entries")
         if g.size and np.max(np.abs(g - g.conj().T)) > HERMITIAN_TOL:
-            raise SymmetryViolation("Gram matrix is not Hermitian within 1e-12")
+            raise ArgumentError("Gram matrix is not Hermitian within 1e-12")
         object.__setattr__(self, "entries", _freeze(g))
 
     @property
@@ -128,15 +119,15 @@ class WeightMatrix:
     def __post_init__(self) -> None:
         a = np.array(self.entries, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise WeightMatrixError(f"weight matrix must be square, got shape {a.shape}")
+            raise ArgumentError(f"weight matrix must be square, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
-            raise WeightMatrixError("weight matrix contains NaN or Inf entries")
+            raise ArgumentError("weight matrix contains NaN or Inf entries")
         if np.any(a != a.T):
-            raise WeightMatrixError("weight matrix is not symmetric")
+            raise ArgumentError("weight matrix is not symmetric")
         if np.any(a < 0.0):
-            raise WeightMatrixError("weight matrix has negative entries")
+            raise ArgumentError("weight matrix has negative entries")
         if np.any(np.diagonal(a) != 0.0):
-            raise WeightMatrixError("weight matrix diagonal must be zero")
+            raise ArgumentError("weight matrix diagonal must be zero")
         object.__setattr__(self, "entries", _freeze(a))
 
 

@@ -219,10 +219,7 @@ def required_levels(b: float) -> int:
     """Smallest m >= 0 with (B - 1) / 2^m < 1; strict comparison on floats."""
     if not math.isfinite(b) or b < 1.0:
         raise ArgumentError(f"Bessel constant must be >= 1, got {b!r}")
-    m = 0
-    while math.ldexp(b - 1.0, -m) >= 1.0:  # (B - 1) / 2^m; 2.0**1024 would overflow
-        m += 1
-    return m
+    return max(0, math.frexp(b - 1.0)[1])  # the e with B - 1 in [2^(e-1), 2^e)
 
 
 def halving_plan(b: float) -> tuple[int, bool]:

@@ -19,7 +19,6 @@ from frame_partition.analysis import (
     block_verdict,
     certify_blocks,
 )
-from frame_partition.errors import EmptyBlockError
 from frame_partition.generators import GeneratorSpec, generate
 from frame_partition.linalg import GramMatrix
 
@@ -96,7 +95,7 @@ class TestRowFunctionals:
     def test_empty_block(self):
         g = pair_gram(0.5)
         for fn in (sigma, eta, separation_constant):
-            with pytest.raises(EmptyBlockError):
+            with pytest.raises(ArgumentError, match="index block is empty"):
                 fn(g, [])
 
     def test_out_of_range_block(self):
@@ -151,7 +150,8 @@ class TestBlockStats:
                 frame_max = np.linalg.eigvalsh(rows.conj().T @ rows)[-1]
                 assert (bc.lambda_min, bc.lambda_max) == (0.0, frame_max)
                 assert abs(bc.lambda_max - eigs[-1]) <= 1e-14 * eigs[-1]
-            assert (bc.certified, bc.borderline) == block_verdict("uniform", bc.sigma, bc.eta)
+            verdict = block_verdict("uniform", bc.sigma, bc.eta, bc.lambda_min)
+            assert (bc.certified, bc.borderline) == verdict
 
     @pytest.mark.parametrize("spec", [
         GeneratorSpec("harmonic", dim=160, count=288),
@@ -168,7 +168,7 @@ class TestBlockStats:
         for idx in blocks:
             (bc,) = certify_blocks(g, [idx], "feichtinger")
             eigs = np.linalg.eigvalsh(g.entries[np.ix_(idx, idx)])
-            assert bc.lambda_min == 0.0
+            assert bc.lambda_min == 0.0 and not bc.certified
             assert abs(bc.lambda_max - eigs[-1]) <= 1e-14 * eigs[-1]
         full = float(np.linalg.eigvalsh(g.entries)[-1])
         assert abs(spectral_bessel_bound(g) - full) <= 1e-14 * full
@@ -185,8 +185,15 @@ class TestBlockStats:
         (1.0 - 1e-13, 1.0, True, False, True),
     ])
     def test_verdict(self, s, e, feichtinger, uniform, borderline):
-        assert block_verdict("feichtinger", s, e) == (feichtinger, borderline)
-        assert block_verdict("uniform", s, e) == (uniform, borderline)
+        lo = 1.0 - s  # the Gershgorin lower bound on lambda_min
+        assert block_verdict("feichtinger", s, e, lo) == (feichtinger, borderline)
+        assert block_verdict("uniform", s, e, lo) == (uniform, borderline)
+
+    @pytest.mark.parametrize("s, lo", [(1.0 - 1e-9, 0.0), (0.5, -1e-17)])
+    def test_feichtinger_verdict_needs_positive_lambda_min(self, s, lo):
+        # a spectrum that disagrees with sigma < 1 refuses the feichtinger verdict only
+        assert block_verdict("feichtinger", s, 0.5, lo) == (False, False)
+        assert block_verdict("uniform", s, 0.5, lo) == (True, False)
 
 
 def reference_certificate(g, idx, mode):
@@ -199,9 +206,8 @@ def reference_certificate(g, idx, mode):
         eigs = np.linalg.eigvalsh(g.entries[np.ix_(idx, idx)])
         lambda_min, lambda_max = float(eigs[0]), float(eigs[-1])
     s, e, gamma = reference_row_functionals(g, idx)
-    return BlockCertificate(
-        tuple(idx.tolist()), s, e, gamma, lambda_min, lambda_max, *block_verdict(mode, s, e)
-    )
+    verdict = block_verdict(mode, s, e, lambda_min)
+    return BlockCertificate(tuple(idx.tolist()), s, e, gamma, lambda_min, lambda_max, *verdict)
 
 
 def bits(bc):
@@ -263,7 +269,6 @@ class TestRieszCertificate:
         cert = riesz_certificate(GramMatrix(np.eye(3)))
         assert cert.sigma == 0.0
         assert cert.certified and not cert.borderline
-        assert cert.a_bound == 1.0 and cert.b_bound == 1.0
         assert cert.lambda_min == pytest.approx(1.0, abs=1e-12)
         assert cert.lambda_max == pytest.approx(1.0, abs=1e-12)
 
@@ -296,6 +301,6 @@ class TestRieszCertificate:
             g = random_gram(seed, dim=12, count=6)
             cert = riesz_certificate(g)
             if cert.certified:
-                assert cert.lambda_min >= cert.a_bound - 1e-8
-                assert cert.lambda_max <= cert.b_bound + 1e-8
+                assert cert.lambda_min >= 1.0 - cert.sigma - 1e-8
+                assert cert.lambda_max <= 1.0 + cert.sigma + 1e-8
 

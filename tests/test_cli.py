@@ -178,7 +178,6 @@ MALFORMED_VECTOR_FILES = [
     ("null_cell.json", _vector_doc("real", 2, [[None, 1.0]])),
     ("text_in_pair.json", _vector_doc("complex", 2, [[["x", 0], [0, 0]]])),
     ("huge_int_cell.json", _vector_doc("real", 1, [[10**400]])),
-    ("labels_not_list.json", _vector_doc("real", 1, [[1.0]], labels=5)),
     ("negative_dim.json", json.dumps({"dim": -1, "field": "real", "count": 1, "vectors": [[1.0]]})),
     # header numbers must be integers (2.0 counts), never bools or strings
     ("fractional_dim.json", json.dumps({"dim": 2.7, "field": "real", "count": 1,
@@ -258,7 +257,7 @@ class TestNestingGuard:
         path.write_text(_vector_doc("real", 1, [[1.0]], labels=["[" * 5000]))
         done = run_process("partition", str(path), "-o", str(tmp_path / "r.json"))
         assert done.returncode == 0, done.stderr
-        assert read_vectors(path).labels == ("[" * 5000,)
+        assert read_vectors(path).vectors.tolist() == [[1.0]]
 
 
 class TestCertify:
@@ -307,21 +306,38 @@ class TestCertify:
         assert run("certify", str(vec), str(rep)) == 5
         assert "FAIL" in capsys.readouterr().out
 
-    def test_digest_mismatch_exit_2_and_force(self, tmp_path):
+    def test_digest_mismatch_exit_2_and_force(self, tmp_path, capsys):
         vec, rep = self.make_pair(tmp_path)
         other = tmp_path / "other.json"
         run("generate", "--kind", "orthonormal", "--dim", "24", "--count", "24",
             "-o", str(other))
         assert run("certify", str(other), str(rep)) == 2
-        # --force skips the digest check; the mismatched report then fails blocks
-        assert run("certify", str(other), str(rep), "--force") in (2, 5)
+        # no flag skips the digest check: --force is an unrecognized argument
+        capsys.readouterr()
+        assert run("certify", str(other), str(rep), "--force") == 2
+        assert "unrecognized arguments: --force" in capsys.readouterr().err
 
     def test_index_mismatch_exit_2(self, tmp_path):
         vec, rep = self.make_pair(tmp_path)
         report = json.loads(rep.read_text())
         report["blocks"][0]["indices"] = [report["blocks"][0]["indices"][0]] * 1 + [999]
         rep.write_text(json.dumps(report))
-        assert run("certify", str(vec), str(rep), "--force") == 2
+        assert run("certify", str(vec), str(rep)) == 2
+
+    def test_pair_beyond_dimension_is_not_certified(self, tmp_path, capsys):
+        # sigma = 1 - 1.8e-9 < 1, but two vectors in dimension 1 have lambda_min 0
+        vec, rep = tmp_path / "v.json", tmp_path / "r.json"
+        vec.write_text(_vector_doc("real", 1, [[0.9999999991], [-0.9999999991]]))
+        assert run("partition", str(vec), "-o", str(rep)) == 5
+        report = json.loads(rep.read_text())
+        assert [b["certified"] for b in report["blocks"]] == [False]
+        report["blocks"][0]["certified"] = report["all_certified"] = True
+        rep.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run("certify", str(vec), str(rep)) == 5
+        out = capsys.readouterr().out
+        assert "certified: reported True, recomputed False" in out
+        assert "claim FAIL: all_certified" in out
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9"])
     def test_bad_tolerance_exit_2(self, tmp_path, capsys, tol):

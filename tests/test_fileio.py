@@ -79,7 +79,7 @@ class TestVectorFiles:
         vectors = np.empty((6, 6), dtype=np.complex128)
         vectors.real = [np.roll(edges, k) for k in range(6)]
         vectors.imag = vectors.real[::-1] if field == "complex" else 0.0
-        raw = SimpleNamespace(dim=6, n=6, field=field, vectors=vectors, labels=None)
+        raw = SimpleNamespace(dim=6, n=6, field=field, vectors=vectors)
         path = tmp_path / "v.json"
         write_vectors(path, raw)
         assert parsed_vectors(lambda: read_vectors(path)).tobytes() == vectors.tobytes()
@@ -88,11 +88,18 @@ class TestVectorFiles:
         write_vectors(path, seq)
         assert read_vectors(path).vectors.tobytes() == seq.vectors.tobytes()
 
-    def test_json_preserves_labels(self, tmp_path):
-        seq = UnitVectorSequence(np.eye(2), labels=("a", "b"))
-        path = tmp_path / "v.json"
-        write_vectors(path, seq)
-        assert read_vectors(path).labels == ("a", "b")
+    def test_labels_key_is_ignored(self, tmp_path):
+        seq = UnitVectorSequence(np.eye(2), field="real")
+        plain, labelled = tmp_path / "plain.json", tmp_path / "labelled.json"
+        write_vectors(plain, seq)
+        doc = json.loads(plain.read_text())
+        assert list(doc) == ["dim", "field", "count", "vectors"]
+        # a labels value that is not a list was refused while labels were read
+        labelled.write_text(json.dumps({**doc, "labels": 5}))
+        a, b = read_vectors(plain), read_vectors(labelled)
+        assert a.vectors.tobytes() == b.vectors.tobytes() and a.field == b.field
+        for version in (1, 2):
+            assert sequence_digest(a, version) == sequence_digest(b, version)
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "v.json"
@@ -266,7 +273,7 @@ def parsed_vectors(parse):
     captured = []
     with mock.patch(
         "frame_partition.fileio.UnitVectorSequence",
-        lambda vectors, field, labels: captured.append(vectors),
+        lambda vectors, field: captured.append(vectors),
     ):
         parse()
     return np.array(captured[0], dtype=np.complex128)

@@ -5,7 +5,6 @@ import pytest
 
 from frame_partition import ArgumentError, NormViolation, UnitVectorSequence, gram
 from frame_partition.analysis import schur_bessel_bound
-from frame_partition.errors import SymmetryViolation, WeightMatrixError
 from frame_partition.generators import GeneratorSpec, generate
 from frame_partition.linalg import GramMatrix, WeightMatrix, weight_matrix
 
@@ -131,7 +130,7 @@ class TestGram:
             assert same_bits(gram(seq).entries, reference_gram(seq.vectors)), seq.vectors.shape
 
     def test_gram_matrix_rejects_non_hermitian(self):
-        with pytest.raises(SymmetryViolation):
+        with pytest.raises(ArgumentError, match="not Hermitian"):
             GramMatrix(np.array([[1.0, 0.5], [0.4, 1.0]]))
 
 
@@ -184,7 +183,7 @@ class TestWeightMatrix:
     def test_from_public_gram_checked(self):
         # Hermitian within HERMITIAN_TOL passes GramMatrix, but the weights would not be symmetric
         g = GramMatrix(np.array([[1.0, 0.5], [0.5 + 1e-13, 1.0]]))
-        with pytest.raises(WeightMatrixError):
+        with pytest.raises(ArgumentError, match="weight matrix is not symmetric"):
             weight_matrix(g)
 
     def test_bad_power(self):
@@ -192,15 +191,15 @@ class TestWeightMatrix:
             weight_matrix(gram(seq_from(np.eye(2))), power=3)
 
     def test_constructor_rejects_asymmetric(self):
-        with pytest.raises(WeightMatrixError):
+        with pytest.raises(ArgumentError, match="weight matrix is not symmetric"):
             WeightMatrix(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
     def test_constructor_rejects_negative(self):
-        with pytest.raises(WeightMatrixError):
+        with pytest.raises(ArgumentError, match="weight matrix has negative entries"):
             WeightMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
     def test_constructor_rejects_nonzero_diagonal(self):
-        with pytest.raises(WeightMatrixError):
+        with pytest.raises(ArgumentError, match="weight matrix diagonal must be zero"):
             WeightMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 

@@ -16,7 +16,6 @@ from frame_partition import (
     sigma,
     uniform_partition,
 )
-from frame_partition.errors import WeightMatrixError
 from frame_partition.generators import GeneratorSpec, generate
 from frame_partition import partition as partition_module
 from frame_partition.linalg import GramMatrix, weight_matrix
@@ -112,11 +111,11 @@ class TestMillsBipartition:
         assert sorted(j1 + j2) == list(range(6))
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(WeightMatrixError):
+        with pytest.raises(ArgumentError, match="weight matrix is not symmetric"):
             mills_bipartition(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
     def test_rejects_negative(self):
-        with pytest.raises(WeightMatrixError):
+        with pytest.raises(ArgumentError, match="weight matrix has negative entries"):
             mills_bipartition(np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
     def test_move_count_bounded(self):
@@ -384,10 +383,12 @@ class TestFeichtingerPartition:
         assert cert.per_block[0].sigma == 0.0
 
     def test_no_certified_block_exceeds_dimension(self, corpus):
-        # k > d vectors have rank < k, so lambda_min is 0 and such a block is no Riesz sequence
+        # k > d vectors have rank < k, so lambda_min is 0 and such a block is no Riesz sequence;
+        # the pair has sigma = 1 - 1.8e-9 < 1 and m = 0, so only lambda_min refuses it
+        pair = UnitVectorSequence(np.array([[0.9999999991], [-0.9999999991]]), field="real")
         wrong = [
             (spec, bc.indices)
-            for spec, seq in corpus
+            for spec, seq in [*corpus, ("near-antipodal pair, d = 1", pair)]
             for bc in feichtinger_partition(seq).per_block
             if bc.certified and len(bc.indices) > seq.dim
         ]
