@@ -17,7 +17,7 @@ row sums + 1.
 
 ``partition``, ``certify`` and ``riesz_certificate`` take every block's
 numbers from ``certify_blocks``, and every spectrum comes from ``_spectra``.
-For a Gram matrix built by ``gram`` it diagonalizes the smaller side: a
+It diagonalizes the smaller side, through the Gram matrix's factor V: a
 block of k vectors in dimension d < k has the d x d frame operator
 V_b* V_b, whose nonzero spectrum is the block Gram's, and rank at most
 d < k, so lambda_min is 0.0 exactly.
@@ -56,9 +56,8 @@ def _spectra(g: GramMatrix, idx: np.ndarray, subs: np.ndarray) -> tuple[list, li
     One ``eigvalsh`` call covers the (r, k, k) stack, or the d x d frame
     operators when k > d.  Each matrix gets the bits it gets alone.
     """
-    v = g.factor
-    if v is not None and subs.shape[1] > v.shape[1]:
-        rows = v.take(idx, axis=0)
+    if subs.shape[1] > g.factor.shape[1]:
+        rows = g.factor.take(idx, axis=0)
         top = np.linalg.eigvalsh(np.swapaxes(rows.conj(), 1, 2) @ rows)[:, -1].tolist()
         return [0.0] * len(top), top
     eigs = np.linalg.eigvalsh(subs)

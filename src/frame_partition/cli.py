@@ -162,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except NormViolation as exc:
-        print(f"norm violation at indices {list(exc.indices)}: {exc}", file=sys.stderr)
+        print(f"norm violation: {exc}", file=sys.stderr)
         return EXIT_NORM
     except FramePartitionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -123,10 +123,5 @@ def generate(spec: GeneratorSpec) -> UnitVectorSequence:
         "harmonic": _harmonic,
         "random_unit": _random_unit,
     }
-    vectors = builders[spec.kind](spec)
-    field = spec.field
-    if spec.kind == "harmonic":
-        field = "complex"
-    elif spec.kind != "random_unit":
-        field = "real" if np.all(vectors.imag == 0.0) else "complex"
-    return UnitVectorSequence(vectors, field=field)
+    field = "complex" if spec.kind == "harmonic" else spec.field
+    return UnitVectorSequence(builders[spec.kind](spec), field=field)

@@ -6,11 +6,12 @@ data is stored with zero imaginary parts and goes through the same complex
 code path; only the Gram matrix's factor (``GramMatrix.factor``) is kept
 in float64 for it.
 
-Input is validated once, where it comes in.  The public constructors
-(``UnitVectorSequence``, ``GramMatrix(entries)``, ``WeightMatrix(entries)``)
-check every invariant; ``gram`` and ``weight_matrix`` build trusted
-instances without re-checking, because what they compute from a validated
-sequence holds the invariants by construction.
+Input is validated once, where it comes in.  ``UnitVectorSequence`` and
+``WeightMatrix(entries)`` check every invariant.  A ``GramMatrix`` is built
+only from a sequence (``GramMatrix(seq)``, also exported as ``gram``), and
+``weight_matrix`` builds a trusted ``WeightMatrix`` from it without
+re-checking, because what they compute from a validated sequence holds the
+invariants by construction.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from .errors import ArgumentError, NormViolation
 # Acceptance tolerance for "unit" vectors; a vector outside it is refused,
 # never rescaled.
 UNIT_NORM_TOL = 1e-9
-# Elementwise Hermitian tolerance for a Gram matrix given to the constructor.
-HERMITIAN_TOL = 1e-12
 
 FIELDS = ("real", "complex")
 
@@ -74,31 +73,35 @@ class UnitVectorSequence:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Hermitian matrix of pairwise inner products G[i, j] = <f_i, f_j>.
+    """Hermitian matrix of pairwise inner products G[i, j] = <f_i, f_j> of ``seq``.
 
-    ``factor`` is the n x d matrix V of the vectors, G = V V*, when the
-    matrix came from ``gram`` (float64 for a real-mode sequence); the
-    public constructor leaves it None.  ``spectrum`` caches its
-    ``(lambda_min, lambda_max)`` for ``analysis.spectral_bessel_bound``.
+    The upper triangle is computed and mirrored, so G[i][j] == conj(G[j][i])
+    holds exactly; the diagonal is set to the real squared norms.  The
+    vectors are finite with norms within ``UNIT_NORM_TOL`` of 1, so every
+    entry is finite, and the result is not checked again.  ``factor`` is
+    the n x d matrix V of the vectors, G = V V* (float64 for a real-mode
+    sequence).  ``spectrum`` caches its ``(lambda_min, lambda_max)`` for
+    ``analysis.spectral_bessel_bound``.
     """
 
-    entries: np.ndarray
-    factor: np.ndarray | None = dataclasses.field(
-        default=None, init=False, repr=False, compare=False
-    )
+    seq: dataclasses.InitVar[UnitVectorSequence]
+    entries: np.ndarray = dataclasses.field(init=False)
+    factor: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
     spectrum: tuple[float, float] | None = dataclasses.field(
         default=None, init=False, repr=False, compare=False
     )
 
-    def __post_init__(self) -> None:
-        g = np.array(self.entries, dtype=np.complex128)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ArgumentError(f"Gram matrix must be square, got shape {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise ArgumentError("Gram matrix contains NaN or Inf entries")
-        if g.size and np.max(np.abs(g - g.conj().T)) > HERMITIAN_TOL:
-            raise ArgumentError("Gram matrix is not Hermitian within 1e-12")
+    def __post_init__(self, seq: UnitVectorSequence) -> None:
+        if not isinstance(seq, UnitVectorSequence):
+            raise ArgumentError(f"GramMatrix takes a UnitVectorSequence, got {type(seq).__name__}")
+        v = seq.vectors
+        g = np.triu(v @ v.conj().T, 1)
+        g += g.T.conj()  # each entry plus the zero mirrored onto it, so exactly Hermitian
+        np.fill_diagonal(g, np.linalg.norm(v, axis=1) ** 2)
         object.__setattr__(self, "entries", _freeze(g))
+        # real-mode vectors have zero imaginary parts: real arithmetic is a quarter of the work
+        factor = np.ascontiguousarray(v.real) if seq.field == "real" else v
+        object.__setattr__(self, "factor", factor)
 
     @property
     def n(self) -> int:
@@ -131,39 +134,19 @@ class WeightMatrix:
         object.__setattr__(self, "entries", _freeze(a))
 
 
-def gram(seq: UnitVectorSequence) -> GramMatrix:
-    """Gram matrix of the sequence; Hermitian by construction.
-
-    The upper triangle is computed and mirrored, so G[i][j] == conj(G[j][i])
-    holds exactly; the diagonal is set to the real squared norms.  The
-    vectors are finite with norms within ``UNIT_NORM_TOL`` of 1, so every
-    entry is finite, and the result is not checked again.
-    """
-    v = seq.vectors
-    g = np.triu(v @ v.conj().T, 1)
-    g += g.T.conj()  # each entry plus the zero mirrored onto it, so exactly Hermitian
-    np.fill_diagonal(g, np.linalg.norm(v, axis=1) ** 2)
-    out = object.__new__(GramMatrix)
-    object.__setattr__(out, "entries", _freeze(g))
-    # real-mode vectors have zero imaginary parts: real arithmetic is a quarter of the work
-    object.__setattr__(out, "factor", np.ascontiguousarray(v.real) if seq.field == "real" else v)
-    return out
+gram = GramMatrix
 
 
 def weight_matrix(g: GramMatrix, power: int = 1) -> WeightMatrix:
     """Off-diagonal |G_ij|^power with zero diagonal; symmetric exactly.
 
-    A Gram from ``gram`` is exactly Hermitian and |conj z| == |z| exactly,
-    so its weight matrix is not checked again.  A Gram given to the public
-    constructor (it has no ``factor``) is Hermitian only within
-    ``HERMITIAN_TOL``, and its weight matrix goes through ``WeightMatrix``.
+    G is exactly Hermitian and |conj z| == |z| exactly, so the weight
+    matrix is not checked again.
     """
     if power not in (1, 2):
         raise ArgumentError(f"power must be 1 or 2, got {power!r}")
     a = g.magnitudes.copy() if power == 1 else np.square(g.magnitudes)
     np.fill_diagonal(a, 0.0)
-    if g.factor is None:
-        return WeightMatrix(a)
     out = object.__new__(WeightMatrix)
     object.__setattr__(out, "entries", _freeze(a))
     return out

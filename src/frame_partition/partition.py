@@ -243,8 +243,6 @@ def _certified_partition(
     mode: str,
     bessel_override: float | None = None,
 ) -> PartitionCertificate:
-    if mode not in MODES:
-        raise ArgumentError(f"mode must be one of {MODES}, got {mode!r}")
     g = gram(seq)
     spectral_b = spectral_bessel_bound(g)
     schur_b = schur_bessel_bound(g)

@@ -6,6 +6,7 @@ import pytest
 from frame_partition import (
     CERTIFICATE_SCHEMA,
     ArgumentError,
+    UnitVectorSequence,
     eta,
     gram,
     riesz_certificate,
@@ -20,11 +21,16 @@ from frame_partition.analysis import (
     certify_blocks,
 )
 from frame_partition.generators import GeneratorSpec, generate
-from frame_partition.linalg import GramMatrix
 
 
 def pair_gram(offdiag):
-    return GramMatrix(np.array([[1.0, offdiag], [offdiag, 1.0]]))
+    """Gram of e_1 and a unit vector at inner product ``offdiag`` with it."""
+    rows = [[1.0, 0.0], [offdiag, np.sqrt(1.0 - offdiag**2)]]
+    return gram(UnitVectorSequence(np.array(rows), field="real"))
+
+
+def identity_gram(n):
+    return gram(UnitVectorSequence(np.eye(n), field="real"))
 
 
 def random_gram(seed, dim=6, count=10, field="complex"):
@@ -43,13 +49,13 @@ def reference_row_functionals(g, idx):
 
 class TestBesselBounds:
     def test_identity_spectral(self):
-        assert spectral_bessel_bound(GramMatrix(np.eye(3))) == pytest.approx(1.0, abs=1e-12)
+        assert spectral_bessel_bound(identity_gram(3)) == pytest.approx(1.0, abs=1e-12)
 
     def test_duplicate_pair_spectral(self):
         assert spectral_bessel_bound(pair_gram(1.0)) == pytest.approx(2.0, abs=1e-12)
 
     def test_identity_schur(self):
-        assert schur_bessel_bound(GramMatrix(np.eye(3))) == 1.0
+        assert schur_bessel_bound(identity_gram(3)) == 1.0
 
     def test_half_pair_schur(self):
         assert schur_bessel_bound(pair_gram(0.5)) == 1.5
@@ -72,7 +78,7 @@ class TestBesselBounds:
 
 class TestRowFunctionals:
     def test_identity_all_zero(self):
-        g = GramMatrix(np.eye(4))
+        g = identity_gram(4)
         assert sigma(g) == 0.0
         assert eta(g) == 0.0
         assert separation_constant(g) == 0.0
@@ -199,7 +205,7 @@ class TestBlockStats:
 def reference_certificate(g, idx, mode):
     """One block's certificate by separate per-block passes, independent of the stacked kernel."""
     idx = np.asarray(idx)
-    if g.factor is not None and idx.size > g.factor.shape[1]:
+    if idx.size > g.factor.shape[1]:
         rows = g.factor[idx]
         lambda_min, lambda_max = 0.0, float(np.linalg.eigvalsh(rows.conj().T @ rows)[-1])
     else:
@@ -266,7 +272,7 @@ class TestCertifyBlocks:
 
 class TestRieszCertificate:
     def test_orthonormal_block(self):
-        cert = riesz_certificate(GramMatrix(np.eye(3)))
+        cert = riesz_certificate(identity_gram(3))
         assert cert.sigma == 0.0
         assert cert.certified and not cert.borderline
         assert cert.lambda_min == pytest.approx(1.0, abs=1e-12)

@@ -63,6 +63,22 @@ class TestGenerate:
         assert run("partition", str(out), "-o", str(report)) == 0
         assert run("certify", str(out), str(report)) == 0
 
+    @pytest.mark.parametrize("kind, flags", [
+        ("orthonormal", ["--count", "3"]),
+        ("duplicates", ["--multiplicity", "2"]),
+        ("angle_pair", ["--angle", "0.5"]),
+        ("basis_union", ["--angle", "0.5"]),
+    ])
+    def test_complex_field_honoured(self, tmp_path, capsys, kind, flags):
+        # real-valued kinds are written with the field asked for, not one inferred from the values
+        vec, rep = tmp_path / "v.json", tmp_path / "r.json"
+        assert run("generate", "--kind", kind, "--dim", "3", *flags, "--field", "complex",
+                   "-o", str(vec)) == 0
+        assert json.loads(vec.read_text())["field"] == "complex"
+        assert read_vectors(vec).field == "complex"
+        assert run("partition", str(vec), "-o", str(rep)) == 0
+        assert run("certify", str(vec), str(rep)) == 0
+
     def test_format_flag_exits_2(self, tmp_path, capsys):
         assert run("generate", "--kind", "orthonormal", "--dim", "2", "--format", "csv",
                    "-o", str(tmp_path / "v.csv")) == 2
@@ -117,10 +133,13 @@ class TestAnalyze:
     def test_norm_violation_exit_4(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(
-            {"dim": 2, "field": "real", "count": 2,
-             "vectors": [[1.0, 0.0], [2.0, 0.0]]}))
+            {"dim": 2, "field": "real", "count": 3,
+             "vectors": [[1.0, 0.0], [2.0, 0.0], [0.0, 3.0]]}))
         assert run("analyze", str(bad)) == 4
-        assert "[1]" in capsys.readouterr().err
+        # one line, the offending indices listed once
+        assert capsys.readouterr().err == (
+            "norm violation: vector 1 has norm 2.0, expected 1 (offending indices: [1, 2])\n"
+        )
 
 
 class TestPartition:

@@ -17,8 +17,9 @@ from frame_partition import (
     uniform_partition,
 )
 from frame_partition.generators import GeneratorSpec, generate
+from frame_partition import analysis as analysis_module
 from frame_partition import partition as partition_module
-from frame_partition.linalg import GramMatrix, weight_matrix
+from frame_partition.linalg import weight_matrix
 from frame_partition.partition import (
     BREAKPOINT_TOL,
     LEVEL_SAFETY,
@@ -451,14 +452,19 @@ class TestGoldenPartitions:
         assert mismatched == []
 
 
+def full_gram_spectra(g, idx, subs):
+    """Stand-in for ``analysis._spectra``: ``eigvalsh`` of each k x k block Gram, also for k > d."""
+    eigs = np.linalg.eigvalsh(subs)
+    return eigs[:, 0].tolist(), eigs[:, -1].tolist()
+
+
 class TestFullGramDifferential:
     """Every corpus report matches the one built from the full n x n Gram spectrum."""
 
     def test_corpus_reports_match(self, corpus, monkeypatch):
         partitioners = (feichtinger_partition, uniform_partition)
         certs = [[p(seq) for p in partitioners] for _, seq in corpus]
-        # a GramMatrix built by its public constructor keeps the n x n eigvalsh path
-        monkeypatch.setattr(partition_module, "gram", lambda seq: GramMatrix(gram(seq).entries))
+        monkeypatch.setattr(analysis_module, "_spectra", full_gram_spectra)
         mismatched = []
         for (spec, seq), got in zip(corpus, certs):
             full_b = float(np.linalg.eigvalsh(gram(seq).entries)[-1])
