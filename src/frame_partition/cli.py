@@ -67,10 +67,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_partition(args: argparse.Namespace) -> int:
     seq = fileio.read_vectors(args.input)
     start = time.perf_counter()
-    if args.mode == "feichtinger":
-        cert = partition.feichtinger_partition(seq, bessel_override=args.bessel_override)
-    else:
-        cert = partition.uniform_partition(seq, bessel_override=args.bessel_override)
+    # --mode is one of partition.MODES: feichtinger_partition or uniform_partition
+    cert = getattr(partition, f"{args.mode}_partition")(seq)
     elapsed = time.perf_counter() - start
     report = fileio.build_report(cert, seq, timings={"partition_s": elapsed})
     fileio.write_report(args.output, report)
@@ -141,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     part = sub.add_parser("partition", help="partition and write a certificate report")
     part.add_argument("input")
     part.add_argument("--mode", choices=partition.MODES, default="feichtinger")
-    part.add_argument("--bessel-override", type=float, default=None)
     part.add_argument("-o", "--output", required=True)
     part.set_defaults(func=cmd_partition)
 

@@ -77,7 +77,7 @@ class Partition:
 class PartitionCertificate:
     partition: Partition
     mode: str
-    global_bessel: float  # the B the halving used (may be an override)
+    global_bessel: float  # the B the halving used
     spectral_bound: float
     schur_bound: float
     target: float  # (B - 1) / 2^levels
@@ -216,20 +216,23 @@ def halving_partition(a: WeightMatrix | np.ndarray, m: int) -> Partition:
 
 
 def required_levels(b: float) -> int:
-    """Smallest m >= 0 with (B - 1) / 2^m < 1; strict comparison on floats."""
-    if not math.isfinite(b) or b < 1.0:
-        raise ArgumentError(f"Bessel constant must be >= 1, got {b!r}")
-    return max(0, math.frexp(b - 1.0)[1])  # the e with B - 1 in [2^(e-1), 2^e)
+    """Smallest m >= 0 with (B - 1) / 2^m < 1; strict comparison on floats.
+
+    That is 0 for any finite B < 2, below 1 included; a non-finite B raises.
+    """
+    if not math.isfinite(b):
+        raise ArgumentError(f"Bessel constant must be finite, got {b!r}")
+    return math.frexp(b - 1.0)[1] if b >= 2.0 else 0  # the e with B - 1 in [2^(e-1), 2^e)
 
 
 def halving_plan(b: float) -> tuple[int, bool]:
     """``(levels, on_breakpoint)`` of the halving for the Bessel constant B.
 
-    ``levels`` is required_levels(B + LEVEL_SAFETY), so a non-finite B or
-    one below 1 - LEVEL_SAFETY raises ArgumentError.  ``on_breakpoint`` is
-    true when B is within BREAKPOINT_TOL of some 1 + 2^k.  Only k = levels - 1
-    can match, except at B = 2^53 = fl(1 + 2^53), where B + LEVEL_SAFETY - 1
-    rounds to 2^53 - 1 and k = levels.
+    ``levels`` is required_levels(B + LEVEL_SAFETY), so only a non-finite B
+    raises ArgumentError.  ``on_breakpoint`` is true when B is within
+    BREAKPOINT_TOL of some 1 + 2^k.  Only k = levels - 1 can match, except
+    at B = 2^53 = fl(1 + 2^53), where B + LEVEL_SAFETY - 1 rounds to
+    2^53 - 1 and k = levels.
     """
     m = required_levels(b + LEVEL_SAFETY)
     on_breakpoint = any(
@@ -238,21 +241,11 @@ def halving_plan(b: float) -> tuple[int, bool]:
     return m, on_breakpoint
 
 
-def _certified_partition(
-    seq: UnitVectorSequence,
-    mode: str,
-    bessel_override: float | None = None,
-) -> PartitionCertificate:
+def _certified_partition(seq: UnitVectorSequence, mode: str) -> PartitionCertificate:
     g = gram(seq)
     spectral_b = spectral_bessel_bound(g)
     schur_b = schur_bessel_bound(g)
     b = schur_b if mode == "feichtinger" else spectral_b
-    if bessel_override is not None:
-        if bessel_override < b:
-            raise ArgumentError(
-                f"Bessel override {bessel_override} is below the computed bound {b}"
-            )
-        b = float(bessel_override)
     m, on_breakpoint = halving_plan(b)
     power = 1 if mode == "feichtinger" else 2
     part = halving_partition(weight_matrix(g, power), m)
@@ -270,25 +263,19 @@ def _certified_partition(
     )
 
 
-def feichtinger_partition(
-    seq: UnitVectorSequence,
-    bessel_override: float | None = None,
-) -> PartitionCertificate:
+def feichtinger_partition(seq: UnitVectorSequence) -> PartitionCertificate:
     """Partition into sigma-certified Riesz blocks via Schur bound + halving.
 
     Uses B = schur_bessel_bound, weight power 1 and m = required_levels(B);
     every block then has sigma <= (B - 1) / 2^m < 1.
     """
-    return _certified_partition(seq, "feichtinger", bessel_override)
+    return _certified_partition(seq, "feichtinger")
 
 
-def uniform_partition(
-    seq: UnitVectorSequence,
-    bessel_override: float | None = None,
-) -> PartitionCertificate:
+def uniform_partition(seq: UnitVectorSequence) -> PartitionCertificate:
     """Partition into uniformly separated blocks (eta < 1).
 
     Uses the spectral Bessel bound (the tightest valid B), weight power 2
     and m = required_levels(B); every block then has eta <= (B - 1) / 2^m < 1.
     """
-    return _certified_partition(seq, "uniform", bessel_override)
+    return _certified_partition(seq, "uniform")

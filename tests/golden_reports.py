@@ -5,9 +5,7 @@
 1 and the version-1 ``input_digest`` put in place of what the report holds,
 
 * ``corpus``: for every acceptance-grid instance (``conftest.corpus_specs``),
-  Feichtinger mode then uniform mode;
-* ``override``: for one complex ``random_unit`` instance, a report built with
-  ``bessel_override=OVERRIDE_B`` in Feichtinger mode then uniform mode.
+  Feichtinger mode then uniform mode.
 
 The digest covers every float in the report bit for bit (``json.dumps``
 writes floats by ``repr``), so block statistics, global bounds, verdicts and
@@ -25,7 +23,6 @@ import json
 from pathlib import Path
 
 from frame_partition import (
-    GeneratorSpec,
     build_report,
     feichtinger_partition,
     generate,
@@ -34,8 +31,6 @@ from frame_partition import (
 )
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_reports.json"
-OVERRIDE_SPEC = GeneratorSpec("random_unit", dim=8, count=24, seed=5, field="complex")
-OVERRIDE_B = 9.5
 
 
 def report_digest(cert, seq) -> str:
@@ -55,20 +50,11 @@ def corpus_digests(sequences) -> list[str]:
     ]
 
 
-def override_digests() -> list[str]:
-    seq = generate(OVERRIDE_SPEC)
-    return [
-        report_digest(partitioner(seq, bessel_override=OVERRIDE_B), seq)
-        for partitioner in (feichtinger_partition, uniform_partition)
-    ]
-
-
 if __name__ == "__main__":
     from conftest import corpus_specs
 
     golden = {
         "corpus": corpus_digests(generate(spec) for spec in corpus_specs()),
-        "override": override_digests(),
     }
     lines = ",\n".join(
         f'"{key}":[\n' + ",\n".join(json.dumps(item) for item in items) + "\n]"
@@ -76,5 +62,4 @@ if __name__ == "__main__":
     )
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     GOLDEN_PATH.write_text("{\n" + lines + "\n}\n")
-    print(f"wrote {len(golden['corpus'])} corpus and "
-          f"{len(golden['override'])} override report digests to {GOLDEN_PATH}")
+    print(f"wrote {len(golden['corpus'])} corpus report digests to {GOLDEN_PATH}")

@@ -169,19 +169,31 @@ class TestPartition:
         assert report["mode"] == "uniform"
         assert all(b["eta"] < 1.0 for b in report["blocks"])
 
-    def test_huge_bessel_override_certifies(self, tmp_path):
-        # 1024 levels: 2.0**1024 overflows, so the level and target arithmetic must not use it
-        vec, rep = tmp_path / "v.json", tmp_path / "r.json"
-        run("generate", "--kind", "orthonormal", "--dim", "2", "--count", "2", "-o", str(vec))
-        assert run("partition", str(vec), "--bessel-override", "1e308", "-o", str(rep)) == 0
-        assert read_report(rep)["levels"] == 1024
-        assert run("certify", str(vec), str(rep), "--tol", "0") == 0
-
-    def test_bessel_override_too_small_exit_2(self, tmp_path):
+    def test_bessel_override_flag_refused_exit_2(self, tmp_path, capsys):
         vec, rep = tmp_path / "v.json", tmp_path / "r.json"
         run("generate", "--kind", "duplicates", "--dim", "2", "--multiplicity", "3",
             "-o", str(vec))
+        capsys.readouterr()
         assert run("partition", str(vec), "--bessel-override", "1.5", "-o", str(rep)) == 2
+        assert "unrecognized arguments: --bessel-override 1.5" in capsys.readouterr().err
+        assert not rep.exists()
+
+    @pytest.mark.parametrize("vectors", [
+        pytest.param([[0.9999999991]], id="one"),
+        pytest.param([[0.9999999991, 0.0], [0.0, 0.9999999991]], id="two"),
+    ])
+    @pytest.mark.parametrize("mode", ["feichtinger", "uniform"])
+    def test_bessel_constant_below_one(self, tmp_path, capsys, mode, vectors):
+        # norms 1 - 9e-10 are accepted, and B = 1 - 1.8e-9 asks for no halving level
+        vec, rep = tmp_path / "v.json", tmp_path / "r.json"
+        vec.write_text(_vector_doc("real", len(vectors[0]), vectors))
+        assert run("partition", str(vec), "--mode", mode, "-o", str(rep)) == 0
+        report = read_report(rep)
+        assert report["global_bounds"]["bessel_B_used"] < 1.0
+        assert report["levels"] == 0 and len(report["blocks"]) == 1
+        assert report["target"] == report["global_bounds"]["bessel_B_used"] - 1.0
+        assert run("certify", str(vec), str(rep), "--tol", "0") == 0
+        assert "FAIL" not in capsys.readouterr().out
 
 
 def _vector_doc(field, dim, vectors, **extra):
@@ -293,13 +305,40 @@ class TestCertify:
         assert run("certify", str(vec), str(rep)) == 0
         assert "FAIL" not in capsys.readouterr().out
 
+    @staticmethod
+    def raise_bessel_constant(rep, b):
+        """State B in the report, with the levels, target and borderline flag it implies.
+
+        Earlier versions could partition with a B above the mode's bound;
+        their reports must still certify.
+        """
+        report = json.loads(rep.read_text())
+        levels, on_breakpoint = halving_plan(b)
+        report["global_bounds"]["bessel_B_used"] = b
+        report.update(
+            levels=levels,
+            target=math.ldexp(b - 1.0, -levels),
+            borderline=on_breakpoint or any(block["borderline"] for block in report["blocks"]),
+        )
+        rep.write_text(json.dumps(report))
+
     @pytest.mark.parametrize("mode", ["feichtinger", "uniform"])
-    def test_bessel_override_report_passes(self, tmp_path, capsys, mode):
+    def test_bessel_constant_above_bound_passes(self, tmp_path, capsys, mode):
         vec, rep = self.make_pair(tmp_path, mode=mode)
-        assert run("partition", str(vec), "--mode", mode, "--bessel-override", "9.5",
-                   "-o", str(rep)) == 0
+        self.raise_bessel_constant(rep, 9.5)
         capsys.readouterr()
         assert run("certify", str(vec), str(rep)) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_huge_bessel_constant_certifies(self, tmp_path, capsys):
+        # 1024 levels: 2.0**1024 overflows, so the level and target arithmetic must not use it
+        vec, rep = tmp_path / "v.json", tmp_path / "r.json"
+        run("generate", "--kind", "orthonormal", "--dim", "2", "--count", "2", "-o", str(vec))
+        run("partition", str(vec), "-o", str(rep))
+        self.raise_bessel_constant(rep, 1e308)
+        assert read_report(rep)["levels"] == 1024
+        capsys.readouterr()
+        assert run("certify", str(vec), str(rep), "--tol", "0") == 0
         assert "FAIL" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("data", [
@@ -447,7 +486,7 @@ class TestCertify:
         lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("claim")]
         assert lines == [
             f"claim FAIL: bessel_B_used: reported {bounds['bessel_B_used']!r}, "
-            f"not >= 1 and the feichtinger bound {bounds['schur_B']!r}"
+            f"below the feichtinger bound {bounds['schur_B']!r}"
         ]
 
     def test_repeated_index_exit_2(self, tmp_path, capsys):
@@ -497,8 +536,7 @@ class TestCertify:
         lines = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
         assert lines == [
             f"claim FAIL: spectral_B: reported 17.5, recomputed {spectral!r}",
-            "claim FAIL: bessel_B_used: reported 17.5, "
-            f"not >= 1 and the uniform bound {spectral!r}",
+            f"claim FAIL: bessel_B_used: reported 17.5, below the uniform bound {spectral!r}",
         ]
 
     @pytest.mark.parametrize("mode", ["feichtinger", "uniform"])

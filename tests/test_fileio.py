@@ -442,9 +442,6 @@ class TestGoldenReports:
         ]
         assert changed == []
 
-    def test_override_reports_unchanged(self):
-        assert golden_reports.override_digests() == self.golden["override"]
-
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_written_report_holds_version_2(self, tmp_path, field):
         seq = generate(GeneratorSpec("random_unit", dim=4, count=12, seed=3, field=field))
