@@ -16,7 +16,6 @@ import json
 import math
 import sys
 import time
-from pathlib import Path
 
 from . import analysis, fileio, generators, partition
 from .errors import ArgumentError, FramePartitionError, NormViolation

@@ -4,11 +4,15 @@ Vector files are JSON whatever their suffix (floats round-trip exactly:
 each is written as the shortest decimal that reads back to it).  They are
 written and read through orjson, after a scan that refuses structural
 nesting deeper than ``MAX_NESTING``; what orjson refuses is read by
-``json.loads``, so a file means what it means to ``json``.  Certificate
-reports stay on ``json``: they must hold integers beyond 64 bits and NaN as
-written.  They are checked against the published ``CERTIFICATE_SCHEMA`` by a
-direct encoding of it, ``_schema_error``, which names where a report breaks
-the schema, and they are bound to their input by a content digest.
+``json.loads``, so a file means what it means to ``json``.  A complex file
+whose bytes are exactly what ``write_vectors`` writes is read without a
+list per coordinate: its numbers are parsed as one flat array and kept
+only if writing them gives back the file, so the general parse would read
+the same floats.  Certificate reports stay on ``json``: they must hold
+integers beyond 64 bits and NaN as written.  They are checked against the
+published ``CERTIFICATE_SCHEMA`` by a direct encoding of it,
+``_schema_error``, which names where a report breaks the schema, and they
+are bound to their input by a content digest.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import math
 import operator
 import re
 import reprlib
-from collections.abc import KeysView
+from collections.abc import Iterator, KeysView
 from pathlib import Path
 from typing import Any, Callable
 
@@ -261,20 +265,26 @@ def sequence_digest(seq: UnitVectorSequence, version: int = SCHEMA_VERSION) -> s
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _vector_chunks(v: np.ndarray, field: str) -> Iterator[bytes]:
+    """The bytes of the vector file holding ``v``, in pieces of at most 64 rows.
+
+    Joined, they are orjson's compact dump of the document.  The writer and
+    ``_canonical_complex``'s check both use them, so the two cannot drift.
+    """
+    v = np.ascontiguousarray(v)
+    count, dim = v.shape
+    # real parts alone, or each coordinate as its [re, im] pair of float64s
+    rows = np.ascontiguousarray(v.real) if field == "real" else v.view(float).reshape(count, dim, 2)
+    yield orjson.dumps({"dim": dim, "field": field, "count": count})[:-1] + b',"vectors":['
+    for lo in range(0, count, 64):
+        rows_json = orjson.dumps(rows[lo : lo + 64], option=orjson.OPT_SERIALIZE_NUMPY)
+        yield (b"," if lo else b"") + rows_json[1:-1]
+    yield b"]}\n"
+
+
 def write_vectors(path: str | Path, seq: UnitVectorSequence) -> None:
     """Write ``seq`` as a JSON vector file, whatever the suffix of ``path``."""
-    v = np.ascontiguousarray(seq.vectors)
-    doc = {
-        "dim": seq.dim,
-        "field": seq.field,
-        "count": seq.n,
-        # real parts alone, or each coordinate as its [re, im] pair of float64s
-        "vectors": np.ascontiguousarray(v.real)
-        if seq.field == "real"
-        else v.view(np.float64).reshape(*v.shape, 2),
-    }
-    option = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
-    Path(path).write_bytes(orjson.dumps(doc, option=option))
+    Path(path).write_bytes(b"".join(_vector_chunks(seq.vectors, seq.field)))
 
 
 def _numeric_rows(rows: list, shape: tuple[int, ...]) -> np.ndarray | None:
@@ -424,10 +434,46 @@ def _parse_vector_json(data: bytes, path: Path) -> Any:
         return _parse_json(_decode(data, path), str(path))
 
 
+_COMPLEX_HEAD = re.compile(rb'\{"dim":([1-9]\d*),"field":"complex","count":([1-9]\d*),"vectors":')
+
+
+def _canonical_complex(data: bytes) -> np.ndarray | None:
+    """The vectors of a complex file that is exactly what ``write_vectors`` writes, else None.
+
+    The numbers are parsed as one flat array, without a list per
+    coordinate, and kept only if writing them gives back ``data``; the
+    general parse of those bytes would then read the same floats.
+    """
+    head = _COMPLEX_HEAD.match(data)
+    if head is None:
+        return None
+    try:
+        dim, count = int(head[1]), int(head[2])
+        # with no bracket or brace left nothing nests, so orjson cannot crash on depth;
+        # the head loses its "{" and the file's closing "]}\n" leaves its "\n"
+        numbers = data.translate(None, b"[]{}")
+        flat = np.array(orjson.loads(b"[%b]" % memoryview(numbers)[head.end() - 1 : -1]))
+    except ValueError:  # not JSON, or a header number past int()'s digit limit
+        return None
+    if flat.dtype != np.float64 or flat.shape != (2 * count * dim,):
+        return None
+    vectors = flat.view(np.complex128).reshape(count, dim)
+    pos = 0
+    for chunk in _vector_chunks(vectors, "complex"):
+        if not data.startswith(chunk, pos):
+            return None
+        pos += len(chunk)
+    return vectors if pos == len(data) else None
+
+
 def read_vectors(path: str | Path) -> UnitVectorSequence:
     """Read a JSON vector file, whatever the suffix of ``path``."""
     path = Path(path)
-    return _parse_json_vectors(_parse_vector_json(path.read_bytes(), path))
+    data = path.read_bytes()
+    vectors = _canonical_complex(data)
+    if vectors is not None:
+        return UnitVectorSequence(vectors, field="complex")
+    return _parse_json_vectors(_parse_vector_json(data, path))
 
 
 def build_report(

@@ -274,6 +274,10 @@ class TestNestingGuard:
         # a bracket count that ignored strings would read depth 0 here
         pytest.param(b'["]",' * 1_000_000 + b"1" + b"]" * 1_000_000, 1_000_000,
                      id="brackets_in_strings"),
+        # the head of a written complex file, which the flat complex read matches
+        pytest.param(b'{"dim":1,"field":"complex","count":1,"vectors":[['
+                     + b'{"a":' * 1_000_000 + b"1" + b"}" * 1_000_000 + b"]]}\n", 1_000_003,
+                     id="objects_in_a_complex_file"),
     ])
     def test_deep_file_exits_2_with_one_line(self, tmp_path, data, depth):
         path = tmp_path / "v.json"

@@ -35,8 +35,10 @@ from frame_partition import (
 )
 from frame_partition.fileio import (
     _bracket_count,
+    _canonical_complex,
     _nesting_depth,
     _parse_json_vectors,
+    _parse_vector_json,
     _schema_error,
 )
 
@@ -385,6 +387,123 @@ class TestParseDifferential:
             except FramePartitionError:
                 outcomes.append(FramePartitionError)
         assert outcomes[0] == outcomes[1]
+
+
+def general_parse(path):
+    """The general read of a vector file, which the complex fast path must agree with."""
+    return _parse_json_vectors(_parse_vector_json(path.read_bytes(), path))
+
+
+def read_outcomes(path):
+    """What ``read_vectors`` and the general parse each make of the file: bytes or message."""
+    outcomes = []
+    for parse in (lambda: read_vectors(path), lambda: general_parse(path)):
+        try:
+            outcomes.append(parsed_vectors(parse).tobytes())
+        except ArgumentError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+# -0.0, subnormals, +-1e308 and values that need all 17 significant digits
+FAST_PATH_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    EDGE_FLOATS
+    + [-5e-324, 2.225073858507201e-308, 1e308, -1e308, -1.7976931348623157e308,
+       0.30000000000000004, 1.0000000000000002, -0.12345678901234568, 9.999999999999998e-301]
+)
+# (count, dim, 2): up to three 64-row pieces of the written file
+FAST_PATH_SHAPES = st.tuples(
+    st.integers(1, 5) | st.sampled_from([64, 65, 129]), st.integers(1, 4), st.just(2)
+)
+# the benchmark's `wide` workload holds harmonic frames of these (count, dim)
+WIDE_HARMONIC_SIZES = [(count, count // 2 + 16) for count in range(128, 289, 16)]
+ROW_0 = "[[1.0,0.0],[0.0,0.0]]"
+# Edits of a canonical complex file, each with the message the general parse gives (None: it
+# reads the unedited file's vectors).  No edited file takes the fast path.
+MUTATIONS = {
+    "whitespace": (lambda t: t.replace("],[", "], [", 1), None),
+    "integer cell": (lambda t: t.replace("[1.0,0.0]", "[1,0.0]"), None),
+    "keys reordered": (
+        lambda t: t.replace('"dim":2,"field":"complex"', '"field":"complex","dim":2'), None
+    ),
+    "no final newline": (lambda t: t[:-1], None),
+    "extra key": (lambda t: t[:-2] + ',"note":"x"}\n', None),
+    "null": (
+        lambda t: t.replace("[1.0,0.0]", "[null,0.0]"), "row 0 col 0: unparseable cell [None, 0.0]"
+    ),
+    "digits glued after ]": (lambda t: t.replace("[1.0,0.0],", "[1.0,0.0]5,"), "invalid JSON in"),
+    # the same numbers in the same order, in a triple and a single
+    "pair split": (
+        lambda t: t.replace(ROW_0, "[[1.0,0.0,0.0],[0.0]]"), "row 0 col 0: expected [re, im] pair"
+    ),
+}
+
+
+class TestCanonicalComplexRead:
+    """A complex file exactly as ``write_vectors`` writes it is read by a flat parse."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 130])
+    def test_written_bytes_are_one_orjson_dump(self, tmp_path, field, count):
+        seq = generate(GeneratorSpec("random_unit", dim=3, count=count, seed=count, field=field))
+        v = seq.vectors
+        doc = {
+            "dim": 3,
+            "field": field,
+            "count": count,
+            "vectors": v.real.copy() if field == "real" else v.view(float).reshape(count, 3, 2),
+        }
+        path = tmp_path / "v.json"
+        write_vectors(path, seq)
+        option = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+        assert path.read_bytes() == orjson.dumps(doc, option=option)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(arrays(np.float64, FAST_PATH_SHAPES, elements=FAST_PATH_FLOATS))
+    def test_fast_path_matches_general_parse(self, tmp_path_factory, parts):
+        vectors = parts.view(np.complex128)[..., 0]
+        path = tmp_path_factory.mktemp("fast") / "v.json"
+        write_vectors(path, SimpleNamespace(field="complex", vectors=vectors))
+        fast = _canonical_complex(path.read_bytes())
+        assert fast is not None and fast.tobytes() == vectors.tobytes()
+        assert read_outcomes(path) == [vectors.tobytes()] * 2
+
+    def test_every_written_complex_file_takes_the_fast_path(self, tmp_path, corpus):
+        # a change in how orjson writes floats would otherwise only lose the speed
+        seqs = [(spec, seq) for spec, seq in corpus if seq.field == "complex"]
+        seqs += [
+            (spec, generate(spec))
+            for spec in (GeneratorSpec("harmonic", dim=d, count=c) for c, d in WIDE_HARMONIC_SIZES)
+        ]
+        assert len(seqs) > 150
+        path = tmp_path / "v.json"
+        missed = []
+        for spec, seq in seqs:
+            write_vectors(path, seq)
+            fast = _canonical_complex(path.read_bytes())
+            if fast is None or fast.tobytes() != seq.vectors.tobytes():
+                missed.append(spec)
+        assert missed == []
+
+    @pytest.mark.parametrize("mutation", list(MUTATIONS))
+    def test_edited_file_reads_as_the_general_parse(self, tmp_path, mutation):
+        edit, message = MUTATIONS[mutation]
+        rest = generate(GeneratorSpec("random_unit", dim=2, count=2, seed=1, field="complex"))
+        seq = UnitVectorSequence(np.vstack([[1.0, 0.0], rest.vectors]), field="complex")
+        path = tmp_path / "v.json"
+        write_vectors(path, seq)
+        text = path.read_text()
+        assert ROW_0 in text and _canonical_complex(text.encode()) is not None
+        edited = edit(text)
+        assert edited != text
+        path.write_text(edited)
+        assert _canonical_complex(edited.encode()) is None
+        fast, general = read_outcomes(path)
+        assert fast == general
+        if message is None:
+            assert fast == seq.vectors.tobytes()
+        else:
+            assert message in fast
 
 
 class TestGoldenDigests:
