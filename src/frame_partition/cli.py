@@ -2,7 +2,7 @@
 
 Exit codes are a stable contract:
   0  success / all blocks certified / certificate verified
-  2  usage error, malformed file, index or digest mismatch
+  2  usage error, malformed file, index or digest mismatch, out of memory
   3  I/O failure
   4  unit-norm violation in the input
   5  at least one block failed certification (report still written)
@@ -162,6 +162,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NORM
     except FramePartitionError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # numpy names the size it could not allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

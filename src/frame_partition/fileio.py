@@ -12,7 +12,8 @@ the same floats.  Certificate reports stay on ``json``: they must hold
 integers beyond 64 bits and NaN as written.  They are checked against the
 published ``CERTIFICATE_SCHEMA`` by a direct encoding of it,
 ``_schema_error``, which names where a report breaks the schema, and they
-are bound to their input by a content digest.
+are bound to their input by a content digest.  Both kinds of file are
+written over an existing file in place and cut to length.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ import hashlib
 import json
 import math
 import operator
+import os
 import re
 import reprlib
+import stat
 from collections.abc import Iterator, KeysView
 from pathlib import Path
 from typing import Any, Callable
@@ -282,9 +285,27 @@ def _vector_chunks(v: np.ndarray, field: str) -> Iterator[bytes]:
     yield b"]}\n"
 
 
+def _write_in_place(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` over what it holds, then cut a regular file to length.
+
+    No ``O_TRUNC``: ext4 starts writeback of a file truncated to zero when
+    it is closed.  A symlink is written through; a pipe or terminal (say
+    ``/dev/stdout``) gets no truncate.  A new file gets ``open``'s mode.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def write_vectors(path: str | Path, seq: UnitVectorSequence) -> None:
     """Write ``seq`` as a JSON vector file, whatever the suffix of ``path``."""
-    Path(path).write_bytes(b"".join(_vector_chunks(seq.vectors, seq.field)))
+    _write_in_place(path, b"".join(_vector_chunks(seq.vectors, seq.field)))
 
 
 def _numeric_rows(rows: list, shape: tuple[int, ...]) -> np.ndarray | None:
@@ -512,7 +533,7 @@ def build_report(
 def write_report(path: str | Path, report: dict[str, Any]) -> None:
     _check_report(report)
     # compact: with indent, json runs its pure-Python encoder instead of the C one
-    Path(path).write_text(json.dumps(report) + "\n")
+    _write_in_place(path, (json.dumps(report) + "\n").encode())
 
 
 def read_report(path: str | Path) -> dict[str, Any]:

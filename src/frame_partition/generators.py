@@ -59,7 +59,7 @@ def _box_muller(rng: np.random.Generator, size: int) -> np.ndarray:
 def _orthonormal(spec: GeneratorSpec) -> np.ndarray:
     if spec.count > spec.dim:
         raise ArgumentError(f"orthonormal needs count <= dim, got {spec.count} > {spec.dim}")
-    return np.eye(spec.dim, dtype=np.complex128)[: spec.count]
+    return np.eye(spec.count, spec.dim, dtype=np.complex128)
 
 
 def _duplicates(spec: GeneratorSpec) -> np.ndarray:

@@ -79,6 +79,23 @@ class TestGenerate:
         assert run("partition", str(vec), "-o", str(rep)) == 0
         assert run("certify", str(vec), str(rep)) == 0
 
+    def test_orthonormal_in_high_dimension(self, tmp_path, capsys):
+        # two rows of the identity, not the dim x dim identity (149 GiB at dim 100000)
+        out = tmp_path / "v.json"
+        assert run("generate", "--kind", "orthonormal", "--dim", "100000", "--count", "2",
+                   "-o", str(out)) == 0
+        seq = read_vectors(out)
+        assert seq.vectors.tobytes() == np.eye(2, 100000, dtype=np.complex128).tobytes()
+
+    def test_out_of_memory_exit_2_with_one_line(self, tmp_path, capsys):
+        # 1e16 coordinates: numpy refuses the 35.5 PiB draw at once and allocates nothing
+        out = tmp_path / "v.json"
+        assert run("generate", "--kind", "random_unit", "--dim", "100000000",
+                   "--count", "100000000", "-o", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate 35.5 PiB") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_format_flag_exits_2(self, tmp_path, capsys):
         assert run("generate", "--kind", "orthonormal", "--dim", "2", "--format", "csv",
                    "-o", str(tmp_path / "v.csv")) == 2
@@ -168,6 +185,20 @@ class TestPartition:
         report = read_report(rep)
         assert report["mode"] == "uniform"
         assert all(b["eta"] < 1.0 for b in report["blocks"])
+
+    def test_shorter_report_overwrites_a_longer_one(self, tmp_path, capsys):
+        vec, rep, fresh = tmp_path / "v.json", tmp_path / "r.json", tmp_path / "fresh.json"
+        run("generate", "--kind", "random_unit", "--dim", "8", "--count", "64", "--seed", "1",
+            "-o", str(vec))
+        assert run("partition", str(vec), "-o", str(rep)) == 0
+        longer = rep.stat().st_size
+        assert run("partition", str(vec), "--mode", "uniform", "-o", str(rep)) == 0
+        assert run("partition", str(vec), "--mode", "uniform", "-o", str(fresh)) == 0
+        assert rep.stat().st_size < longer
+        report = read_report(rep)
+        assert rep.read_text() == json.dumps(report) + "\n"
+        assert {**report, "timings": {}} == {**read_report(fresh), "timings": {}}
+        assert run("certify", str(vec), str(rep)) == 0
 
     def test_bessel_override_flag_refused_exit_2(self, tmp_path, capsys):
         vec, rep = tmp_path / "v.json", tmp_path / "r.json"
@@ -293,6 +324,21 @@ class TestNestingGuard:
         done = run_process("partition", str(path), "-o", str(tmp_path / "r.json"))
         assert done.returncode == 0, done.stderr
         assert read_vectors(path).vectors.tolist() == [[1.0]]
+
+
+class TestReportToAPipe:
+    def test_partition_to_dev_stdout(self, tmp_path):
+        # a pipe cannot be truncated; the report goes through it as written
+        vec, first = tmp_path / "v.json", tmp_path / "first-line.json"
+        run("generate", "--kind", "random_unit", "--dim", "8", "--count", "64", "--seed", "1",
+            "-o", str(vec))
+        done = run_process("partition", str(vec), "-o", "/dev/stdout")
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines(keepends=True)
+        first.write_text(lines[0])
+        assert read_report(first)["mode"] == "feichtinger"
+        assert lines[1].startswith("feichtinger: ") and len(lines) == 2
+        assert run("certify", str(vec), str(first)) == 0
 
 
 class TestCertify:

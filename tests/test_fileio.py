@@ -2,8 +2,10 @@ import copy
 import hashlib
 import json
 import math
+import os
 import re
 import reprlib
+import stat
 from types import SimpleNamespace
 from unittest import mock
 
@@ -738,6 +740,56 @@ class TestConforms:
             if _schema_error(build_report(partitioner(seq), seq, timings={"partition_s": 0.01}))
         ]
         assert rejected == []
+
+
+class TestInPlaceWrites:
+    """Both writers overwrite a file in place and cut it to length, with no O_TRUNC."""
+
+    @pytest.fixture(params=["report", "vectors"])
+    def write(self, request, complex_seq):
+        if request.param == "report":
+            report = build_report(feichtinger_partition(complex_seq), complex_seq)
+            return lambda path: write_report(path, report)
+        return lambda path: write_vectors(path, complex_seq)
+
+    @pytest.mark.parametrize("extra", [pytest.param(1000, id="longer"),
+                                       pytest.param(-100, id="shorter")])
+    def test_overwrite_leaves_the_fresh_bytes(self, tmp_path, write, extra):
+        fresh, path = tmp_path / "fresh.json", tmp_path / "old.json"
+        write(fresh)
+        path.write_bytes(b"\xff" * (fresh.stat().st_size + extra))
+        inode = path.stat().st_ino
+        write(path)
+        assert path.read_bytes() == fresh.read_bytes()
+        assert path.stat().st_ino == inode  # the same file, not a replacement
+
+    def test_symlink_is_written_through(self, tmp_path, write):
+        fresh, target, link = tmp_path / "fresh.json", tmp_path / "target.json", tmp_path / "link"
+        write(fresh)
+        target.write_bytes(b"\xff" * (fresh.stat().st_size + 1000))
+        link.symlink_to(target)
+        write(link)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == fresh.read_bytes()
+
+    def test_opened_without_truncation(self, tmp_path, write):
+        # ext4 flushes a file on close after it was truncated to zero on open
+        with mock.patch("frame_partition.fileio.os.open", wraps=os.open) as opened:
+            write(tmp_path / "out.json")
+        (path, flags, mode), = [call.args for call in opened.call_args_list]
+        assert path == tmp_path / "out.json" and mode == 0o666
+        assert flags & os.O_TRUNC == 0 and flags & os.O_CREAT
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_file_mode_is_write_bytes_mode(self, tmp_path, write, umask):
+        new, reference = tmp_path / "new.json", tmp_path / "reference.json"
+        old = os.umask(umask)
+        try:
+            write(new)
+            reference.write_bytes(b"")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
 
 
 class TestReports:
